@@ -89,7 +89,7 @@ BENCH_SCALE = CampaignScale(BENCH_GEOMETRY)
 MANUFACTURERS = ("SK Hynix", "Micron", "Samsung")
 
 #: Engine opt-in for the figure benches: ``REPRO_BENCH_WORKERS=N`` runs
-#: campaigns on N worker processes, ``REPRO_BENCH_CACHE=DIR`` adds a
+#: campaigns on N worker threads, ``REPRO_BENCH_CACHE=DIR`` adds a
 #: persistent outcome cache shared across benches and runs, and
 #: ``REPRO_BENCH_TRACE=FILE`` streams per-unit run telemetry as JSONL
 #: (with a summary printed at interpreter exit).  All default off;

@@ -217,7 +217,6 @@ def run_engine_suite(
     scale: CampaignScale | None = None,
     intervals: tuple[float, ...] = ENGINE_INTERVALS,
     workers: int = 4,
-    executor: str | None = None,
     cache_dir: str | None = None,
     write_json: bool = True,
     trace_path: str | None = None,
@@ -225,16 +224,16 @@ def run_engine_suite(
     """Time the engine's three execution paths over the DDR4 catalog.
 
     Passes: (1) serial cold — the pre-engine `Campaign` behaviour; (2)
-    parallel cold — ``workers`` workers on the requested ``executor``
-    backend, filling ``cache``; (3) warm — the same campaign again,
-    answered from cache.  Asserts all three produce identical records,
-    then reports timings and speedups as a machine-readable dict (written
-    to ``BENCH_engine.json`` at the repo root and under
+    parallel cold — ``workers`` pool threads, filling ``cache``; (3) warm
+    — the same campaign again, answered from cache.  Asserts all three
+    produce identical records, then reports timings and speedups as a
+    machine-readable dict (written to ``BENCH_engine.json`` at the repo
+    root and under
     ``benchmarks/results/`` unless ``write_json=False``).
 
     The committed numbers are honest about what actually ran: the result
-    carries the *effective* executor and worker count of the parallel
-    pass (from ``engine.last_execution``), and
+    carries the *effective* worker count of the parallel pass (from
+    ``engine.last_execution``), and
     ``parallel_measurement_meaningful`` is ``False`` — with a stderr
     warning — when the host could not exercise parallelism (one core, or
     the engine's serial fallback engaged), so a ``parallel_speedup``
@@ -258,22 +257,21 @@ def run_engine_suite(
     serial_s = time.perf_counter() - start
 
     cache = OutcomeCache(cache_dir)
-    with CharacterizationEngine(
-        scale=scale, workers=workers, executor=executor, cache=cache,
-        trace=trace,
-    ) as parallel_engine:
-        start = time.perf_counter()
-        parallel_records = parallel_engine.characterize_modules(
-            serials, WORST_CASE, intervals
-        )
-        parallel_s = time.perf_counter() - start
-        execution = dict(parallel_engine.last_execution or {})
+    parallel_engine = CharacterizationEngine(
+        scale=scale, workers=workers, cache=cache, trace=trace
+    )
+    start = time.perf_counter()
+    parallel_records = parallel_engine.characterize_modules(
+        serials, WORST_CASE, intervals
+    )
+    parallel_s = time.perf_counter() - start
+    execution = dict(parallel_engine.last_execution or {})
 
-        start = time.perf_counter()
-        warm_records = parallel_engine.characterize_modules(
-            serials, WORST_CASE, intervals
-        )
-        warm_s = time.perf_counter() - start
+    start = time.perf_counter()
+    warm_records = parallel_engine.characterize_modules(
+        serials, WORST_CASE, intervals
+    )
+    warm_s = time.perf_counter() - start
     if trace is not None:
         trace.close()
 
@@ -283,13 +281,13 @@ def run_engine_suite(
     meaningful = (
         (os.cpu_count() or 1) >= 2
         and not execution.get("serial_fallback", False)
-        and execution.get("effective_executor") != "serial"
+        and execution.get("effective_workers", 1) > 1
     )
     if not meaningful:
         print(
             "WARNING: parallel_speedup is not a parallelism measurement on "
-            f"this host (cpu_count={os.cpu_count()}, effective executor "
-            f"{execution.get('effective_executor')!r}); treat it as pool "
+            f"this host (cpu_count={os.cpu_count()}, effective workers "
+            f"{execution.get('effective_workers')!r}); treat it as pool "
             "overhead only",
             file=sys.stderr,
         )
@@ -309,8 +307,6 @@ def run_engine_suite(
         "config": "WORST_CASE",
         "intervals": list(intervals),
         "workers": workers,
-        "executor": execution.get("executor"),
-        "effective_executor": execution.get("effective_executor"),
         "effective_workers": execution.get("effective_workers"),
         "serial_fallback": execution.get("serial_fallback"),
         "parallel_measurement_meaningful": meaningful,
@@ -340,12 +336,8 @@ PARALLEL_GATE_SCALE = CampaignScale(
 )
 
 
-def run_parallel_gate(
-    min_speedup: float,
-    workers: int = 0,
-    executor: str = "threads",
-) -> int:
-    """CI gate: the ``executor`` backend must beat serial execution.
+def run_parallel_gate(min_speedup: float, workers: int = 0) -> int:
+    """CI gate: the engine's thread pool must beat serial execution.
 
     Paired measurement (serial cold vs pooled cold, same process, best of
     one — campaign runs are deterministic and seconds long) over
@@ -353,7 +345,7 @@ def run_parallel_gate(
     non-zero when the pooled pass is below ``min_speedup`` x serial.
 
     Honesty rule: on a host that cannot exercise parallelism (one core,
-    or the engine's serial fallback engaged) the gate *warns and passes*
+    or the engine ran on fewer than two workers) the gate *warns and passes*
     — a meaningless measurement must not go red, but it must not go
     silently green either, so the decision is printed either way.
     """
@@ -366,15 +358,15 @@ def run_parallel_gate(
     )
     serial_s = time.perf_counter() - start
 
-    with CharacterizationEngine(
-        scale=PARALLEL_GATE_SCALE, workers=workers, executor=executor
-    ) as pooled_engine:
-        start = time.perf_counter()
-        pooled_records = pooled_engine.characterize_modules(
-            PARALLEL_GATE_SERIALS, WORST_CASE, ENGINE_INTERVALS
-        )
-        pooled_s = time.perf_counter() - start
-        execution = dict(pooled_engine.last_execution or {})
+    pooled_engine = CharacterizationEngine(
+        scale=PARALLEL_GATE_SCALE, workers=workers
+    )
+    start = time.perf_counter()
+    pooled_records = pooled_engine.characterize_modules(
+        PARALLEL_GATE_SERIALS, WORST_CASE, ENGINE_INTERVALS
+    )
+    pooled_s = time.perf_counter() - start
+    execution = dict(pooled_engine.last_execution or {})
 
     assert pooled_records == serial_records, "pooled records diverged"
 
@@ -382,8 +374,6 @@ def run_parallel_gate(
     result = {
         "bench": "parallel-gate",
         "cpu_count": os.cpu_count(),
-        "executor": executor,
-        "effective_executor": execution.get("effective_executor"),
         "workers": workers,
         "effective_workers": execution.get("effective_workers"),
         "serial_fallback": execution.get("serial_fallback"),
@@ -400,20 +390,20 @@ def run_parallel_gate(
     meaningful = (
         (os.cpu_count() or 1) >= 2
         and not execution.get("serial_fallback", False)
-        and execution.get("effective_executor") == executor
+        and execution.get("effective_workers", 1) > 1
     )
     if not meaningful:
         print(
             "WARNING: host cannot exercise parallelism "
-            f"(cpu_count={os.cpu_count()}, effective executor "
-            f"{execution.get('effective_executor')!r}); parallel gate "
+            f"(cpu_count={os.cpu_count()}, effective workers "
+            f"{execution.get('effective_workers')!r}); parallel gate "
             "skipped, not passed",
             file=sys.stderr,
         )
         return 0
     if speedup < min_speedup:
         print(
-            f"FAIL: {executor} executor speedup {speedup:.3f}x is below "
+            f"FAIL: thread pool speedup {speedup:.3f}x is below "
             f"the {min_speedup}x gate",
             file=sys.stderr,
         )
@@ -615,7 +605,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--parallel-gate", action="store_true",
-        help="CI parallelism gate: the threads executor must beat serial "
+        help="CI parallelism gate: the engine thread pool must beat serial "
              "by --min-parallel-speedup on a multi-core runner (warns and "
              "passes on a 1-core host, where the measurement would be "
              "meaningless)",
@@ -625,17 +615,10 @@ def main(argv: list[str] | None = None) -> int:
         default=float(os.environ.get("REPRO_PARALLEL_GATE", "1.3")),
         help="speedup floor for --parallel-gate (default 1.3)",
     )
-    parser.add_argument(
-        "--executor", default=None,
-        help="engine executor backend for the full suite and "
-             "--parallel-gate (default: engine default / threads)",
-    )
     args = parser.parse_args(argv)
 
     if args.parallel_gate:
-        return run_parallel_gate(
-            args.min_parallel_speedup, executor=args.executor or "threads"
-        )
+        return run_parallel_gate(args.min_parallel_speedup)
 
     if args.quick or args.kernels_only:
         result = run_kernel_suite(
@@ -668,7 +651,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     result = run_engine_suite(
-        executor=args.executor,
         trace_path=os.environ.get("REPRO_BENCH_TRACE") or None,
     )
     kernels = run_kernel_suite()

@@ -79,38 +79,6 @@ class CellPopulation:
         self._kappa *= np.float32(self.subarray_scale)
         _POPULATIONS_SAMPLED.inc()
 
-    @classmethod
-    def from_arrays(
-        cls,
-        key: tuple,
-        profile: DisturbanceProfile,
-        lambda_int: np.ndarray,
-        kappa: np.ndarray,
-        subarray_scale: float,
-    ) -> "CellPopulation":
-        """Build a population around already-sampled parameter arrays.
-
-        Used by shared-memory executor workers: the parent samples once,
-        publishes ``lambda_int`` and the final (scale-applied) ``kappa``,
-        and each worker wraps the shared views without resampling.  The
-        lazily sampled arrays (hammer thresholds, anti mask) are still
-        derived deterministically from ``key``, so they stay bit-identical
-        to a locally sampled population.
-        """
-        if kappa.shape != lambda_int.shape:
-            raise ValueError("lambda_int and kappa shapes differ")
-        population = object.__new__(cls)
-        population.key = key
-        population.profile = profile
-        population.rows, population.columns = lambda_int.shape
-        population._lambda_int = lambda_int
-        population._kappa = kappa
-        population.subarray_scale = subarray_scale
-        population._hammer_thresholds = None
-        population._anti_mask = None
-        population._retention_cache = {}
-        return population
-
     @property
     def shape(self) -> tuple[int, int]:
         """(rows, columns) of the subarray."""

@@ -75,17 +75,6 @@ def _add_kernel_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_executor_arg(parser: argparse.ArgumentParser) -> None:
-    """Shared ``--executor`` flag for commands that run the engine."""
-    from repro.core import EXECUTORS
-
-    parser.add_argument(
-        "--executor", choices=EXECUTORS, default=None,
-        help="engine pool backend (default: $REPRO_EXECUTOR or 'threads'); "
-             "all backends produce bit-identical records",
-    )
-
-
 def _cmd_catalog(args: argparse.Namespace) -> str:
     rows = [
         [
@@ -152,7 +141,6 @@ def _cmd_characterize(args: argparse.Namespace) -> str:
     campaign = Campaign(
         scale=scale,
         workers=args.workers,
-        executor=args.executor,
         cache=OutcomeCache(args.cache) if args.cache else None,
         retries=args.retries,
         timeout=args.timeout,
@@ -420,7 +408,6 @@ def _cmd_serve(args: argparse.Namespace) -> str:
                 max_queue=args.max_queue,
                 batch_window_ms=args.batch_window_ms,
                 kernel=args.kernel,
-                executor=args.executor,
                 max_inflight=args.fleet_max_inflight,
                 trace_dir=args.trace_dir,
                 slow_trace_ms=args.slow_trace_ms,
@@ -439,7 +426,6 @@ def _cmd_serve(args: argparse.Namespace) -> str:
             max_queue=args.max_queue,
             batch_window_ms=args.batch_window_ms,
             kernel=args.kernel,
-            executor=args.executor,
             trace_dir=args.trace_dir,
             slow_trace_ms=args.slow_trace_ms,
         )
@@ -766,14 +752,13 @@ def build_parser() -> argparse.ArgumentParser:
     character.add_argument("--columns", type=int, default=512)
     character.add_argument(
         "--workers", type=int, default=0,
-        help="worker processes for the parallel engine (0 = serial)",
+        help="worker threads for the parallel engine (0 = serial)",
     )
     character.add_argument(
         "--cache", default=None, metavar="DIR",
         help="on-disk outcome cache directory (reused across runs)",
     )
     _add_kernel_arg(character)
-    _add_executor_arg(character)
     _add_observability_args(
         character,
         trace_help="write per-unit run telemetry as JSONL and print a summary",
@@ -828,7 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=int, default=0,
-        help="engine worker processes per submission (0 = in-process)",
+        help="engine worker threads per submission (0 = in-process)",
     )
     serve.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -863,7 +848,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="latency threshold for --trace-dir capture (default 1000)",
     )
     _add_kernel_arg(serve)
-    _add_executor_arg(serve)
 
     fleet_risk = sub.add_parser(
         "fleet-risk",

@@ -44,9 +44,6 @@ from repro.core.config import (
 )
 from repro.core.engine import (
     DEFAULT_ENGINE_HORIZON,
-    DEFAULT_EXECUTOR,
-    EXECUTOR_ENV,
-    EXECUTORS,
     CharacterizationEngine,
     FailurePolicy,
     UnitExecutionError,
@@ -54,12 +51,6 @@ from repro.core.engine import (
     execute_unit,
     plan_units,
     record_from_summary,
-    resolve_executor,
-)
-from repro.core.shm import (
-    SegmentRef,
-    SharedPopulationStore,
-    sweep_leaked_segments,
 )
 from repro.core.remap import find_physical_neighbours, recover_physical_order
 from repro.core.retention_profiler import profile_retention, retention_failure_mask
@@ -91,18 +82,11 @@ __all__ = [
     "content_key",
     "outcome_cache_key",
     "DEFAULT_ENGINE_HORIZON",
-    "DEFAULT_EXECUTOR",
-    "EXECUTOR_ENV",
-    "EXECUTORS",
     "CharacterizationEngine",
     "WorkUnit",
     "execute_unit",
     "plan_units",
     "record_from_summary",
-    "resolve_executor",
-    "SegmentRef",
-    "SharedPopulationStore",
-    "sweep_leaked_segments",
     "FailurePolicy",
     "UnitExecutionError",
     "RunTrace",

@@ -148,13 +148,10 @@ class ModulePool:
 class Campaign:
     """Campaign driver bound to a scale and a (reusable) module pool.
 
-    ``workers`` / ``executor`` / ``cache`` opt in to the parallel
-    characterization engine (`repro.core.engine`), as does any of the
-    robustness/telemetry knobs (``retries``, ``timeout``,
-    ``failure_policy``, ``trace``); the defaults keep the serial
-    in-process path.  ``executor`` selects the engine's pool backend
-    (``threads`` / ``processes`` / ``serial``; ``None`` defers to
-    ``REPRO_EXECUTOR`` then the engine default).  Either way the records
+    ``workers`` / ``cache`` opt in to the parallel characterization
+    engine (`repro.core.engine`), as does any of the robustness/telemetry
+    knobs (``retries``, ``timeout``, ``failure_policy``, ``trace``); the
+    defaults keep the serial in-process path.  Either way the records
     are bit-identical — the engine re-derives the same deterministic
     populations and computes the same metrics.
 
@@ -166,7 +163,6 @@ class Campaign:
     scale: CampaignScale = STANDARD_SCALE
     pool: ModulePool = field(default_factory=ModulePool)
     workers: int = 0
-    executor: str | None = None
     cache: "OutcomeCache | None" = None
     retries: int = 0
     timeout: float | None = None
@@ -177,7 +173,6 @@ class Campaign:
     def _delegate_to_engine(self) -> bool:
         return (
             self.workers > 1
-            or self.executor is not None
             or self.cache is not None
             or self.trace is not None
             or self.retries > 0
@@ -197,7 +192,6 @@ class Campaign:
         return CharacterizationEngine(
             scale=self.scale,
             workers=self.workers,
-            executor=self.executor,
             cache=self.cache,
             retries=self.retries,
             timeout=self.timeout,
@@ -218,9 +212,9 @@ class Campaign:
         recorded in that subarray.
         """
         if self._delegate_to_engine():
-            with self.engine() as engine:
-                return engine.characterize_module(serial, config,
-                                                  tuple(intervals))
+            return self.engine().characterize_module(
+                serial, config, tuple(intervals)
+            )
         spec = get_module(serial)
         module = self.pool.get(serial, self.scale, self.kernel)
         records = []
@@ -244,10 +238,9 @@ class Campaign:
     ) -> list[SubarrayRecord]:
         """Run `characterize_module` over several modules."""
         if self._delegate_to_engine():
-            with self.engine() as engine:
-                return engine.characterize_modules(
-                    tuple(serials), config, tuple(intervals)
-                )
+            return self.engine().characterize_modules(
+                tuple(serials), config, tuple(intervals)
+            )
         records = []
         for serial in serials:
             records.extend(self.characterize_module(serial, config, intervals))

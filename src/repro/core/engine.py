@@ -3,12 +3,12 @@
 `Campaign.characterize_modules` walks modules x chips x banks x subarrays
 serially.  This module decomposes that walk into self-describing
 :class:`WorkUnit` values — ``(serial, chip, bank, subarray, config,
-geometry)`` — and executes them on a ``ProcessPoolExecutor``.  Because cell
+geometry)`` — and executes them on a ``ThreadPoolExecutor``.  The per-unit
+work is NumPy that releases the GIL, so pool threads overlap real work while
+sharing the outcome cache and the obs registry directly.  Because cell
 populations are *deterministic functions of their key* (see
-`repro.chip.cells`), a worker re-derives its subarray's silicon locally from
-the unit alone: task payloads and results stay tiny (a unit plus an
-`OutcomeSummary` of weak-cell event times; no per-cell array ever crosses a
-process boundary).
+`repro.chip.cells`), a unit re-derives its subarray's silicon from the unit
+alone and returns a compact `OutcomeSummary` of weak-cell event times.
 
 Determinism guarantee: the record list is assembled in plan order (serial ->
 chip -> bank -> subarray, exactly the serial loop's order) and each summary
@@ -17,18 +17,18 @@ is a pure function of its unit, so results are bit-identical for any
 setting, and identical to the serial `Campaign` path.
 
 Fault tolerance: per-unit execution is wrapped with configurable retries
-(exponential backoff) and an optional per-unit timeout.  A worker that dies
-(``BrokenProcessPool``) triggers one automatic pool respawn; a second pool
-failure degrades gracefully to in-process serial execution, where each unit
-still gets its own retry budget.  When a unit exhausts its attempts, the
+(exponential backoff) and an optional per-unit timeout.  A unit that
+outlives the timeout is charged the attempt and its pool is abandoned
+without joining the hung thread; the units still unresolved move to a
+fresh pool.  When a unit exhausts its attempts, the
 :class:`FailurePolicy` decides: ``raise`` aborts the campaign with a
 :class:`UnitExecutionError`, ``skip-with-record`` completes the campaign
 with an explicit ``status="skipped"`` record in the unit's plan slot —
 never a silent hole.
 
 Telemetry: pass ``trace=RunTrace(...)`` (`repro.core.telemetry`) to record
-per-unit wall time, retry counts, cache tier, and worker pid, streamed as
-JSONL while the campaign runs.
+per-unit wall time, retry counts, and cache tier, streamed as JSONL while
+the campaign runs.
 
 Outcome caching: units are content-addressed (`repro.core.cache`), keyed on
 the *condition* rather than the queried intervals, so benches that share a
@@ -43,12 +43,9 @@ import contextvars
 import json
 import logging
 import os
+import threading
 import time
-from concurrent.futures import (
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -65,7 +62,6 @@ from repro.core.analytic import (
     SubarrayRole,
     disturb_outcome,
 )
-from repro.core import shm as _shm
 from repro.core.cache import OutcomeCache, outcome_cache_key
 from repro.core.campaign import (
     STANDARD_SCALE,
@@ -84,54 +80,10 @@ DEFAULT_ENGINE_HORIZON = 128.0
 #: Exponential backoff never sleeps longer than this between attempts.
 MAX_BACKOFF_S = 2.0
 
-#: Environment override for the executor backend (between the explicit
-#: ``executor=`` argument and :data:`DEFAULT_EXECUTOR` in precedence).
-EXECUTOR_ENV = "REPRO_EXECUTOR"
-
-#: Default executor backend.  Threads win by default because the batched
-#: bank kernels are numpy hot paths that release the GIL: no spawn cost,
-#: no pickling, and the outcome cache / obs registry are shared directly.
-DEFAULT_EXECUTOR = "threads"
-
-#: Selectable executor backends.  ``threads`` runs units on a
-#: ``ThreadPoolExecutor`` in the campaign process; ``processes`` runs a
-#: ``ProcessPoolExecutor`` with cell populations published to shared
-#: memory (`repro.core.shm`) so per-cell arrays never pickle across the
-#: boundary; ``serial`` forces in-process execution regardless of
-#: ``workers``.
-EXECUTORS = ("threads", "processes", "serial")
-
-
-def resolve_executor(name: str | None = None) -> str:
-    """Resolve an executor name: explicit argument, else ``REPRO_EXECUTOR``,
-    else :data:`DEFAULT_EXECUTOR`.  Raises ``ValueError`` for unknown
-    names."""
-    if name is None:
-        name = os.environ.get(EXECUTOR_ENV) or DEFAULT_EXECUTOR
-    if name not in EXECUTORS:
-        raise ValueError(
-            f"unknown executor {name!r}; expected one of {sorted(EXECUTORS)}"
-        )
-    return name
-
-_POOL_RESPAWNS = obs.counter(
-    "engine_pool_respawns_total",
-    "Worker pools torn down and respawned after a pool failure.",
-)
-_POOL_DEGRADES = obs.counter(
-    "engine_pool_degraded_total",
-    "Campaign passes that degraded from pool to in-process execution.",
-)
 _SERIAL_FALLBACKS = obs.counter(
     "engine_serial_fallbacks_total",
     "Campaign passes that skipped the worker pool because the host has no "
     "parallelism to offer (os.cpu_count() <= 1).",
-)
-_EXECUTOR_INFO = obs.gauge(
-    "engine_executor_info",
-    "Effective executor backend of the most recent campaign pass "
-    "(1 = active).",
-    labelnames=("executor",),
 )
 
 _log = logging.getLogger("repro.core.engine")
@@ -161,9 +113,9 @@ class UnitExecutionError(RuntimeError):
 class WorkUnit:
     """One self-describing unit of campaign work: a (subarray, condition).
 
-    Every field is a small immutable value; the unit pickles in a few
-    hundred bytes and carries everything a worker needs to re-derive the
-    subarray's cell population deterministically.
+    Every field is a small immutable value, and the unit carries everything
+    a pool thread needs to re-derive the subarray's cell population
+    deterministically.
     """
 
     serial: str
@@ -234,26 +186,20 @@ def execute_unit(
     unit: WorkUnit,
     horizon: float = DEFAULT_ENGINE_HORIZON,
     guardband: int = GUARDBAND_ROWS,
-    shm_ref: "_shm.SegmentRef | None" = None,
 ) -> OutcomeSummary:
     """Characterize one unit from scratch (the worker-side entry point).
 
-    With ``shm_ref`` the subarray's cell population attaches zero-copy to
-    the segment the engine published (`repro.core.shm`); otherwise it is
-    re-derived locally.  Populations are deterministic in their key, so
-    both paths are bit-identical to characterizing through a
-    `SimulatedModule`; either way the compact event summary is returned.
+    The subarray's cell population is re-derived from the unit's key, so
+    the result is bit-identical to characterizing through a
+    `SimulatedModule`; the compact event summary is returned.
     """
     spec = get_module(unit.serial)
-    if shm_ref is not None:
-        population = _shm.attach_population(shm_ref)
-    else:
-        population = CellPopulation(
-            key=unit.population_key,
-            profile=spec.profile,
-            rows=unit.geometry.subarray_rows(unit.subarray),
-            columns=unit.geometry.columns,
-        )
+    population = CellPopulation(
+        key=unit.population_key,
+        profile=spec.profile,
+        rows=unit.geometry.subarray_rows(unit.subarray),
+        columns=unit.geometry.columns,
+    )
     outcome = disturb_outcome(
         population,
         unit.config,
@@ -270,35 +216,17 @@ def execute_unit(
 # ---------------------------------------------------------------------------
 
 #: JSON fault spec consumed by `_maybe_inject_fault`, e.g.
-#: ``{"mode": "crash", "subarray": 1, "times": 1, "dir": "/tmp/faults"}``.
-#: ``mode`` is ``crash`` (worker dies via ``os._exit``), ``poison`` (worker
-#: raises), or ``hang`` (worker sleeps past any sane timeout).  ``times``
-#: limits how many attempts fault (claimed atomically via files in ``dir``,
-#: so the count is shared across worker processes); ``subarray`` selects
-#: the victim units.  Unset (the default) costs one dict lookup per unit.
+#: ``{"mode": "poison", "subarray": 1, "times": 1, "dir": "/tmp/faults"}``.
+#: ``mode`` is ``poison`` (the unit raises) or ``hang`` (in a pool thread
+#: the unit sleeps ``hang_s`` seconds, default 3, before raising; in-process,
+#: where no timeout can fire, it raises at once).  ``times`` limits how many
+#: attempts fault (claimed atomically via files in ``dir``, so the count is
+#: shared across pool threads); ``subarray`` selects the victim units.
+#: Unset (the default) costs one dict lookup per unit.
 FAULT_ENV = "REPRO_ENGINE_FAULT"
 
-#: Set by the pool initializer: crash faults only ever ``os._exit`` inside
-#: a sacrificial worker process, never the campaign's own process.
-_IN_POOL_WORKER = False
-
-
-def _mark_pool_worker() -> None:
-    global _IN_POOL_WORKER
-    _IN_POOL_WORKER = True
-
-
-def _init_pool_worker(obs_enabled: bool) -> None:
-    """Pool initializer: flag the worker and propagate the observability
-    switch (spawn-started workers do not inherit the parent's state).
-
-    Fork-started workers inherit the parent's *accumulated* metrics and
-    span buffer; reset them so the worker's payloads are pure deltas and
-    the parent never merges its own counts back in."""
-    _mark_pool_worker()
-    if obs_enabled:
-        obs.enable()
-        obs.reset()
+#: Name prefix of the engine's pool threads.
+_POOL_THREAD_PREFIX = "repro-engine"
 
 
 def _maybe_inject_fault(unit: WorkUnit) -> None:
@@ -325,67 +253,40 @@ def _maybe_inject_fault(unit: WorkUnit) -> None:
         break
     else:
         return
-    mode = spec["mode"]
-    if mode == "crash":
-        if _IN_POOL_WORKER:
-            os._exit(17)
-        raise RuntimeError("injected crash fault (in-process)")
-    if mode == "hang":
-        if _IN_POOL_WORKER:
-            time.sleep(spec.get("hang_s", 3600.0))
-        raise RuntimeError("injected hang fault (in-process)")
+    if spec["mode"] == "hang":
+        if threading.current_thread().name.startswith(_POOL_THREAD_PREFIX):
+            time.sleep(spec.get("hang_s", 3.0))
+        raise RuntimeError("injected hang fault")
     raise RuntimeError("injected poison fault")
 
 
 def _worker_run(
-    unit: WorkUnit,
-    horizon: float,
-    guardband: int,
-    shm_ref: "_shm.SegmentRef | None" = None,
-    trace: "obs.TraceContext | None" = None,
-) -> tuple[OutcomeSummary, int, float, dict | None]:
-    """Pool/in-process execution wrapper.
-
-    Returns ``(summary, pid, wall_s, obs_payload)``.  In a pool *process*
-    worker with observability enabled, ``obs_payload`` carries the metric
-    shards and finished spans this unit produced (a snapshot-and-reset
-    delta) back to the campaign process, which merges them; thread-pool
-    and in-process execution write straight to the campaign's own
-    (thread-safe) registry and ship ``None``.
-
-    ``trace`` is the submitter's trace context, shipped across the pool
-    boundary: a process worker has no ambient span, so without it the
-    unit span would mint a fresh trace and the campaign/request trace
-    would break at the pool edge.  Thread and in-process execution run
-    under the submitter's live span (which takes precedence), so passing
-    ``trace`` there is harmless.
-    """
+    unit: WorkUnit, horizon: float, guardband: int
+) -> tuple[OutcomeSummary, float]:
+    """Execute one unit under an ``engine.unit`` span; returns
+    ``(summary, wall_s)``."""
     _maybe_inject_fault(unit)
     start = time.perf_counter()
-    with obs.use_context(trace):
-        with obs.span(
-            "engine.unit",
-            serial=unit.serial, chip=unit.chip, bank=unit.bank,
-            subarray=unit.subarray,
-        ):
-            summary = execute_unit(
-                unit, horizon=horizon, guardband=guardband, shm_ref=shm_ref
-            )
-    wall = time.perf_counter() - start
-    payload = obs.pool_worker_payload() if _IN_POOL_WORKER else None
-    return summary, os.getpid(), wall, payload
+    with obs.span(
+        "engine.unit",
+        serial=unit.serial,
+        chip=unit.chip,
+        bank=unit.bank,
+        subarray=unit.subarray,
+    ):
+        summary = execute_unit(unit, horizon=horizon, guardband=guardband)
+    return summary, time.perf_counter() - start
 
 
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear down a broken or hung pool without waiting on its workers."""
-    procs = getattr(pool, "_processes", None)
-    processes = list(procs.values()) if procs else []
-    pool.shutdown(wait=False, cancel_futures=True)
-    for process in processes:
-        if process.is_alive():
-            process.terminate()
-    for process in processes:
-        process.join(timeout=5.0)
+def _submit(pool: ThreadPoolExecutor, compute, unit: WorkUnit) -> Future:
+    """Submit one attempt of ``unit``, first or retry, to ``pool``.
+
+    A pool thread runs tasks in its own `contextvars` Context, which would
+    orphan the unit's span.  Running the task in a copy of the submitter's
+    context (one copy per task: a Context is single-entry) nests the span
+    under the submitter's active campaign or batch span.
+    """
+    return pool.submit(contextvars.copy_context().run, compute, unit)
 
 
 @dataclass
@@ -396,8 +297,7 @@ class _ExecResult:
     summary: OutcomeSummary | None
     attempts: int
     wall: float
-    worker: int | None
-    error: str | None
+    error: str | None = None
     executor: str | None = None
 
 
@@ -465,20 +365,13 @@ def _record_from_ok_summary(
 
 @dataclass
 class CharacterizationEngine:
-    """Campaign executor with process-level parallelism, outcome caching,
+    """Campaign executor with thread-pool parallelism, outcome caching,
     fault tolerance, and structured run telemetry.
 
     Attributes:
         scale: how much silicon to instantiate per module (shared with
             `Campaign`).
-        workers: pool width; ``0``/``1`` run in-process (serial).
-        executor: pool backend — one of :data:`EXECUTORS` (``threads`` /
-            ``processes`` / ``serial``); ``None`` resolves via
-            ``REPRO_EXECUTOR`` then :data:`DEFAULT_EXECUTOR`.  The thread
-            backend exploits that the batched hot path is numpy and
-            releases the GIL; the process backend publishes cell
-            populations to shared memory (`repro.core.shm`) so per-cell
-            arrays never pickle across the boundary.
+        workers: thread-pool width; ``0``/``1`` run in-process (serial).
         cache: optional `OutcomeCache`; hits skip computation entirely.
         horizon: event horizon of computed summaries — any interval up to
             this is answerable from cache without recomputation.
@@ -486,9 +379,10 @@ class CharacterizationEngine:
         retry_backoff: base of the exponential backoff between attempts
             (``backoff * 2**(failures - 1)`` seconds, capped).
         timeout: optional per-unit wall-clock limit (pool execution only —
-            the in-process path cannot preempt a hung computation).  A
-            timed-out worker is killed with its pool; the pool is
-            respawned and the unit's attempt is charged.
+            the in-process path cannot preempt a hung computation).  The
+            engine stops waiting on a timed-out unit and charges the
+            attempt; its thread is abandoned, never joined, and the units
+            still unresolved run on a fresh pool.
         failure_policy: ``raise`` (default) aborts the campaign on an
             exhausted unit; ``skip-with-record`` completes it with an
             explicit ``status="skipped"`` record in the unit's slot.
@@ -502,7 +396,6 @@ class CharacterizationEngine:
 
     scale: CampaignScale = STANDARD_SCALE
     workers: int = 0
-    executor: str | None = None
     cache: OutcomeCache | None = None
     horizon: float = DEFAULT_ENGINE_HORIZON
     guardband: int = GUARDBAND_ROWS
@@ -513,34 +406,14 @@ class CharacterizationEngine:
     trace: RunTrace | None = None
     serial_fallback: bool = True
     #: Effective-execution report of the most recent campaign pass —
-    #: what actually ran (executor, worker count, fallback decision), as
+    #: what actually ran (worker count, fallback decision), as
     #: opposed to what was requested.  ``None`` until the first pass.
     last_execution: dict | None = field(default=None, repr=False, compare=False)
     _key_memo: dict = field(default_factory=dict, repr=False, compare=False)
     _spec_memo: dict = field(default_factory=dict, repr=False, compare=False)
-    _shm_store: "_shm.SharedPopulationStore | None" = field(
-        default=None, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         self.failure_policy = FailurePolicy(self.failure_policy)
-        self.executor = resolve_executor(self.executor)
-
-    def close(self) -> None:
-        """Release engine-owned resources (shared-memory segments).
-
-        Idempotent; the engine remains usable — a later pass republishes
-        what it needs.
-        """
-        if self._shm_store is not None:
-            self._shm_store.close()
-            self._shm_store = None
-
-    def __enter__(self) -> "CharacterizationEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def characterize_module(
         self,
@@ -630,7 +503,6 @@ class CharacterizationEngine:
         source: str,
         wall: float,
         attempts: int = 0,
-        worker: int | None = None,
         error: str | None = None,
         executor: str | None = None,
     ) -> None:
@@ -647,7 +519,7 @@ class CharacterizationEngine:
             source=source,
             wall_s=wall,
             attempts=attempts,
-            worker=worker,
+            worker=None if source == "skipped" else os.getpid(),
             error=error,
             executor=executor,
         )
@@ -669,10 +541,7 @@ class CharacterizationEngine:
                 if summary is not None:
                     summaries[i] = summary
                     resolved[i] = True
-                    self._trace_unit(
-                        i, unit, tier, time.perf_counter() - start,
-                        worker=os.getpid(),
-                    )
+                    self._trace_unit(i, unit, tier, time.perf_counter() - start)
         pending = [i for i, done in enumerate(resolved) if not done]
         results = self._execute_pending(units, pending, horizon)
         for i in pending:
@@ -684,239 +553,112 @@ class CharacterizationEngine:
             self._trace_unit(
                 i, units[i],
                 "computed" if result.summary is not None else "skipped",
-                result.wall, result.attempts, result.worker, result.error,
-                executor=result.executor,
+                result.wall, result.attempts, result.error, result.executor,
             )
         return summaries
 
     def _execute_pending(
         self, units: list[WorkUnit], pending: list[int], horizon: float
     ) -> dict[int, _ExecResult]:
-        """Execute ``pending`` unit indices with retries, timeout, pool
-        recovery, and the failure policy; returns results keyed by index."""
-        compute = partial(
-            _worker_run,
-            horizon=horizon,
-            guardband=self.guardband,
-            # Captured here — under the campaign/batch span — so process
-            # pool workers are born into the submitter's trace.
-            trace=obs.current_context(),
-        )
+        """Execute ``pending`` unit indices with retries, timeout, and the
+        failure policy; returns results keyed by index."""
+        compute = partial(_worker_run, horizon=horizon, guardband=self.guardband)
         results: dict[int, _ExecResult] = {}
         attempts = {i: 0 for i in pending}
         errors: dict[int, str] = {}
         queue = list(pending)
-        respawns_left = 1
-        fallback = False
-        pool_mode = (self.executor != "serial" and self.workers > 1 and len(pending) > 1)
-        if pool_mode and self.serial_fallback and (os.cpu_count() or 1) <= 1:
+        pooled = self.workers > 1 and len(queue) > 1
+        fallback = pooled and self.serial_fallback and (os.cpu_count() or 1) <= 1
+        if fallback:
             # The CI case behind BENCH_engine.json's parallel_speedup 0.518:
-            # a pool on a 1-core host only adds scheduling (and, for
-            # processes, pickling and spawn) overhead.
-            pool_mode = False
-            fallback = True
+            # a pool on a 1-core host only adds scheduling overhead.
+            pooled = False
             detail = (
-                f"executor={self.executor} workers={self.workers} requested "
-                f"but os.cpu_count()={os.cpu_count()!r} offers no "
-                "parallelism; running in-process to avoid pool overhead"
+                f"workers={self.workers} requested but "
+                f"os.cpu_count()={os.cpu_count()!r} offers no parallelism; "
+                "running in-process to avoid pool overhead"
             )
             _SERIAL_FALLBACKS.inc()
             _log.warning(detail)
             if self.trace is not None:
                 self.trace.note_decision("serial-fallback", detail)
-        shm_refs: dict[int, _shm.SegmentRef] = {}
-        if pool_mode and self.executor == "processes":
-            shm_refs = self._publish_populations(units, queue)
-        effective = self.executor if pool_mode else "serial"
         self.last_execution = {
-            "executor": self.executor,
-            "effective_executor": effective,
             "workers": self.workers,
-            "effective_workers": (
-                min(self.workers, len(queue)) if pool_mode else 1
-            ),
+            "effective_workers": min(self.workers, len(queue)) if pooled else 1,
             "serial_fallback": fallback,
         }
-        if _obs_state.enabled:
-            for name in EXECUTORS:
-                _EXECUTOR_INFO.labels(executor=name).set(
-                    1.0 if name == effective else 0.0
-                )
-        while queue and pool_mode:
-            queue, broke = self._pool_pass(
-                units, queue, compute, results, attempts, errors, shm_refs
-            )
-            if not broke:
-                break
-            if respawns_left == 0:
-                # Second pool failure: degrade to in-process execution.
-                pool_mode = False
-                _POOL_DEGRADES.inc()
-            else:
-                respawns_left -= 1
-                _POOL_RESPAWNS.inc()
+        while pooled and queue:
+            queue = self._pool_pass(units, queue, compute, results, attempts, errors)
         for i in queue:
-            self._run_in_process(
-                units[i], i, compute, results, attempts, errors,
-                shm_refs.get(i),
-            )
+            self._run_in_process(units[i], i, compute, results, attempts, errors)
         return results
 
-    def _publish_populations(
-        self, units: list[WorkUnit], queue: list[int]
-    ) -> dict[int, _shm.SegmentRef]:
-        """Publish pending units' cell populations to shared memory.
+    def _pool_pass(self, units, queue, compute, results, attempts, errors) -> list[int]:
+        """One pool lifetime: submit ``queue`` and collect it in order.
 
-        Create-once: the store samples each population a single time in
-        the campaign process; workers attach zero-copy and never
-        re-sample (or pickle) a per-cell array.  The store sweeps
-        segments leaked by dead processes when first created.
+        Returns the indices left unresolved, which is none unless a unit
+        timed out.  A timed-out unit is charged the attempt and the pool is
+        abandoned without joining its threads, so the hung thread runs on
+        alone and no later unit waits behind it; the unresolved units,
+        including the timed-out one while it has attempts left, go to the
+        next pool.
         """
-        if self._shm_store is None:
-            self._shm_store = _shm.SharedPopulationStore()
-        return {
-            i: self._shm_store.publish(
-                units[i].population_key,
-                units[i].geometry.subarray_rows(units[i].subarray),
-                units[i].geometry.columns,
-            )
-            for i in queue
-        }
-
-    def _make_pool(self, width: int):
-        """The executor backend's pool, sized to ``width`` workers."""
-        if self.executor == "threads":
-            # No initializer: threads share the campaign's interpreter
-            # state, so _IN_POOL_WORKER stays False and units write the
-            # (thread-sharded) obs registry directly.
-            return ThreadPoolExecutor(
-                max_workers=width, thread_name_prefix="repro-engine"
-            )
-        return ProcessPoolExecutor(
-            max_workers=width,
-            initializer=_init_pool_worker,
-            initargs=(_obs_state.enabled,),
+        pool = ThreadPoolExecutor(
+            max_workers=min(self.workers, len(queue)),
+            thread_name_prefix=_POOL_THREAD_PREFIX,
         )
-
-    def _pool_pass(
-        self, units, queue, compute, results, attempts, errors, shm_refs
-    ) -> tuple[list[int], bool]:
-        """One pool lifetime: submit ``queue``, collect until done or the
-        pool fails (worker death or unit timeout).  Returns the indices
-        still unresolved and whether the pool failed."""
-        pool = self._make_pool(min(self.workers, len(queue)))
-        futures = {}
-        broke = False
         try:
-            try:
-                for i in queue:
-                    if self.executor == "threads":
-                        # Worker threads start on an empty contextvars
-                        # Context, which would orphan their unit spans;
-                        # copying the submitter's context carries the
-                        # active campaign span across so unit spans nest
-                        # under it (one copy per task — a Context is
-                        # single-entry).
-                        futures[i] = pool.submit(
-                            contextvars.copy_context().run,
-                            partial(compute, units[i], shm_ref=shm_refs.get(i)),
-                        )
-                    else:
-                        futures[i] = pool.submit(
-                            compute, units[i], shm_ref=shm_refs.get(i)
-                        )
-            except BrokenExecutor as exc:
-                # The pool died before the campaign was even fully
-                # submitted (an instant crasher): fail over immediately.
-                for i in queue:
-                    errors.setdefault(i, f"worker pool broke: {exc!r}")
-                broke = True
-            for i in (() if broke else queue):
+            futures = {i: _submit(pool, compute, units[i]) for i in queue}
+            for i in queue:
                 while True:
                     try:
-                        summary, worker, wall, payload = futures[i].result(
-                            timeout=self.timeout
-                        )
-                    except BrokenExecutor as exc:
-                        # Worker death poisons every in-flight future; the
-                        # crashing unit is unknowable, so nobody is charged
-                        # an attempt — the respawned pool re-runs them all.
-                        errors[i] = f"worker pool broke: {exc!r}"
-                        broke = True
+                        summary, wall = futures[i].result(timeout=self.timeout)
                     except TimeoutError:
                         attempts[i] += 1
                         errors[i] = f"unit timed out after {self.timeout:g}s"
-                        broke = True
                         if attempts[i] > self.retries:
                             self._register_failure(units[i], i, attempts, errors, results)
-                    except (KeyboardInterrupt, SystemExit):
-                        raise
+                        self._harvest(queue, futures, results, attempts)
+                        pool.shutdown(wait=False, cancel_futures=True)
+                        return [j for j in queue if j not in results]
                     except Exception as exc:
                         attempts[i] += 1
                         errors[i] = f"{type(exc).__name__}: {exc}"
                         if attempts[i] <= self.retries:
                             self._backoff(attempts[i])
-                            try:
-                                futures[i] = pool.submit(
-                                    compute, units[i],
-                                    shm_ref=shm_refs.get(i),
-                                )
-                            except Exception:
-                                broke = True
-                            else:
-                                continue
-                        else:
-                            self._register_failure(units[i], i, attempts, errors, results)
+                            futures[i] = _submit(pool, compute, units[i])
+                            continue
+                        self._register_failure(units[i], i, attempts, errors, results)
                     else:
                         attempts[i] += 1
-                        obs.merge_payload(payload)
                         results[i] = _ExecResult(
-                            summary, attempts[i], wall, worker, None,
-                            self.executor,
+                            summary, attempts[i], wall, None, "threads"
                         )
                     break
-                if broke:
-                    break
         except BaseException:
-            _kill_pool(pool)
+            pool.shutdown(wait=False, cancel_futures=True)
             raise
-        if broke:
-            self._harvest(queue, futures, results, attempts, self.executor)
-            _kill_pool(pool)
-        else:
-            pool.shutdown(wait=True)
-        remaining = [i for i in queue if i not in results]
-        return remaining, broke
+        pool.shutdown(wait=True)
+        return []
 
     @staticmethod
-    def _harvest(queue, futures, results, attempts, executor) -> None:
-        """Keep results of futures that finished before the pool died."""
+    def _harvest(queue, futures, results, attempts) -> None:
+        """Keep the results of units that finished before their pool was
+        abandoned; a unit that failed there runs again, uncharged."""
         for i in queue:
-            future = futures.get(i)
-            if i in results or future is None or not future.done():
+            future = futures[i]
+            if i in results or not future.done() or future.exception() is not None:
                 continue
-            try:
-                summary, worker, wall, payload = future.result(timeout=0)
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except BaseException:
-                continue
+            summary, wall = future.result()
             attempts[i] += 1
-            obs.merge_payload(payload)
-            results[i] = _ExecResult(summary, attempts[i], wall, worker, None, executor)
+            results[i] = _ExecResult(summary, attempts[i], wall, None, "threads")
 
-    def _run_in_process(
-        self, unit, index, compute, results, attempts, errors, shm_ref=None
-    ) -> None:
+    def _run_in_process(self, unit, index, compute, results, attempts, errors) -> None:
         """Serial execution of one unit with the same retry/policy rules."""
         while True:
             attempts[index] += 1
             try:
-                # In-process execution instruments the campaign's own
-                # registry directly; the payload slot is always None here.
-                summary, worker, wall, _payload = compute(unit, shm_ref=shm_ref)
-            except (KeyboardInterrupt, SystemExit):
-                raise
+                summary, wall = compute(unit)
             except Exception as exc:
                 errors[index] = f"{type(exc).__name__}: {exc}"
                 if attempts[index] <= self.retries:
@@ -925,14 +667,14 @@ class CharacterizationEngine:
                 self._register_failure(unit, index, attempts, errors, results)
             else:
                 results[index] = _ExecResult(
-                    summary, attempts[index], wall, worker, None, "serial"
+                    summary, attempts[index], wall, None, "serial"
                 )
             return
 
     def _register_failure(self, unit, index, attempts, errors, results) -> None:
         if self.failure_policy is FailurePolicy.RAISE:
             raise UnitExecutionError(unit, attempts[index], errors.get(index))
-        results[index] = _ExecResult(None, attempts[index], 0.0, None, errors.get(index))
+        results[index] = _ExecResult(None, attempts[index], 0.0, errors.get(index))
 
     def _backoff(self, failures: int) -> None:
         if self.retry_backoff > 0:

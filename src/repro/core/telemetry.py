@@ -76,12 +76,11 @@ class UnitTrace:
             execution time for computed units, lookup time for cache hits.
         attempts: execution attempts made (0 for cache hits).
         worker: pid of the process that produced the summary (``None``
-            for skipped units; the campaign's own pid under the thread
-            and serial executors).
+            for skipped units).
         error: last failure message, for skipped (and retried) units.
-        executor: executor backend that computed the unit (``threads`` /
-            ``processes`` / ``serial``); ``None`` for cache hits and for
-            traces recorded before the field existed.
+        executor: how the unit was computed: ``threads`` (the engine's
+            pool) or ``serial`` (in-process); ``None`` for cache hits,
+            skipped units, and traces recorded before the field existed.
     """
 
     index: int

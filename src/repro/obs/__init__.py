@@ -7,9 +7,8 @@ span conventions):
   :func:`histogram` families with labeled children, lock-free in the hot
   path via thread-local shards merged on scrape;
 * **span tracing** — ``with obs.span("engine.unit", serial=...)`` regions
-  that nest, cross ``ProcessPoolExecutor`` boundaries via
-  :func:`pool_worker_payload` / :func:`merge_payload`, and degrade to a
-  shared no-op when disabled;
+  that nest, follow a request across processes and hosts through W3C
+  ``traceparent`` headers, and degrade to a shared no-op when disabled;
 * **exporters** — Prometheus text exposition (:func:`prometheus_text`,
   :class:`MetricsServer`), JSON snapshots (:func:`json_snapshot`), span
   JSONL, and the ``repro obs report`` CLI table (:func:`render_report`).
@@ -53,7 +52,6 @@ from repro.obs.tracing import (
     TraceContext,
     current_context,
     current_span,
-    drain_spans,
     dropped_spans,
     extract,
     finished_spans,
@@ -108,44 +106,11 @@ def snapshot() -> dict:
     return json_snapshot(REGISTRY)
 
 
-def merge_snapshot(image: dict) -> None:
-    """Fold a snapshot into the default registry (counters/histograms add,
-    gauges take the incoming value)."""
-    REGISTRY.merge_snapshot(image)
-
-
 def reset() -> None:
     """Zero every metric and clear the span buffer (pre-bound children
     stay valid).  Primarily test/bench hygiene."""
     REGISTRY.reset()
     _tracing.clear()
-
-
-def pool_worker_payload() -> dict | None:
-    """Snapshot-and-reset this process's observability state.
-
-    Called by pool workers after each work unit: the returned payload is a
-    *delta* (metrics accumulated and spans finished since the previous
-    call) small enough to ride along with every unit result.  Returns
-    ``None`` when observability is disabled, so the disabled path ships
-    nothing extra across the process boundary.
-    """
-    if not _state.enabled:
-        return None
-    payload = {
-        "metrics": REGISTRY.snapshot(),
-        "spans": _tracing.drain_spans(),
-    }
-    REGISTRY.reset()
-    return payload
-
-
-def merge_payload(payload: dict | None) -> None:
-    """Fold a :func:`pool_worker_payload` result into this process."""
-    if not payload:
-        return
-    REGISTRY.merge_snapshot(payload["metrics"])
-    _tracing.adopt_spans(payload["spans"])
 
 
 if os.environ.get("REPRO_OBS", "").strip() in ("1", "true", "yes", "on"):
@@ -176,7 +141,6 @@ __all__ = [
     "new_trace_id",
     "take_trace",
     "finished_spans",
-    "drain_spans",
     "dropped_spans",
     "configure_logging",
     "get_logger",
@@ -185,10 +149,7 @@ __all__ = [
     "disable",
     "is_enabled",
     "snapshot",
-    "merge_snapshot",
     "reset",
-    "pool_worker_payload",
-    "merge_payload",
     "prometheus_text",
     "federate_prometheus",
     "json_snapshot",

@@ -8,11 +8,8 @@ Design goals, in order:
    *thread-local shard cells*; no lock is taken on ``inc``/``observe``.
    Shard cells are merged only on scrape (:meth:`MetricsRegistry.collect`),
    which is rare and may take locks freely.
-3. **Mergeable across processes.**  :meth:`MetricsRegistry.snapshot`
-   produces a plain-dict image of every series; ``merge_snapshot`` folds a
-   child process's image into the parent registry (counters and histograms
-   add; gauges take the incoming observation).  The characterization
-   engine ships one such snapshot back with every work-unit result.
+3. **Serializable.**  :meth:`MetricsRegistry.snapshot` produces a
+   plain-dict image of every series, the source of the JSON exporters.
 
 Metric families follow the Prometheus data model: a family has a name, a
 help string, a type, and label names; ``family.labels(kind="ACT")`` returns
@@ -92,12 +89,6 @@ class _Shards:
                 for i in range(self._width):
                     cell[i] = 0.0
 
-    def add_flat(self, values: list[float]) -> None:
-        """Fold externally-produced totals (a child-process snapshot) in."""
-        cell = self.cell()
-        for i, value in enumerate(values):
-            cell[i] += value
-
 
 class Counter:
     """A monotonically increasing value (one labeled child series)."""
@@ -127,8 +118,6 @@ class Gauge:
     Gauges record *observations* (a rate, a queue depth), so they do not
     shard: ``set`` is a plain attribute store (atomic in CPython) and
     ``inc``/``dec`` take a small lock — gauges are never on a hot path.
-    Cross-process merges take the incoming process's value (the most
-    recent observation wins).
     """
 
     kind = "gauge"
@@ -338,7 +327,7 @@ class MetricsRegistry:
                     child._shards.reset()
 
     # ------------------------------------------------------------------
-    # Snapshots (the cross-process interchange format)
+    # Snapshots
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         """JSON-able image of every family and series."""
@@ -371,43 +360,3 @@ class MetricsRegistry:
                 "samples": samples,
             })
         return {"metrics": metrics}
-
-    def merge_snapshot(self, snapshot: dict) -> None:
-        """Fold a snapshot (typically from a worker process) into this
-        registry: counters and histograms add, gauges take the incoming
-        value."""
-        for family_image in snapshot.get("metrics", ()):
-            kind = family_image["type"]
-            kwargs = {}
-            if kind == "histogram" and family_image.get("buckets"):
-                kwargs["buckets"] = tuple(family_image["buckets"])
-            family = self._get_or_create(
-                family_image["name"], family_image.get("help", ""), kind,
-                tuple(family_image.get("labelnames", ())), **kwargs,
-            )
-            for sample in family_image["samples"]:
-                child = family.labels(**sample["labels"])
-                if kind == "counter":
-                    if sample["value"]:
-                        child._shards.add_flat([sample["value"]])
-                elif kind == "gauge":
-                    child._value = float(sample["value"])
-                else:
-                    self._merge_histogram(child, sample)
-
-    @staticmethod
-    def _merge_histogram(child: Histogram, sample: dict) -> None:
-        if not sample["count"]:
-            return
-        cumulative = [count for _, count in sample["buckets"]]
-        if len(cumulative) != len(child.buckets) + 1:
-            raise ValueError(
-                "histogram bucket layouts differ; cannot merge snapshot"
-            )
-        per_bucket = [
-            count - (cumulative[i - 1] if i else 0.0)
-            for i, count in enumerate(cumulative)
-        ]
-        child._shards.add_flat(
-            [*per_bucket, sample["sum"], sample["count"]]
-        )

@@ -1,5 +1,5 @@
 """Span-based tracing: nested timed regions across threads, processes,
-and — since the serving tier went distributed — whole process fleets.
+and whole process fleets.
 
 A span is a named, timed region of work with free-form attributes::
 
@@ -27,15 +27,6 @@ request failures.
 Spans may also carry **links** — references to other traces that caused
 or joined this work without being its parent.  The serve scheduler links
 each micro-batch span to every request trace folded into the batch.
-
-Cross-process propagation is snapshot-based rather than connection-based:
-a ``ProcessPoolExecutor`` worker runs its spans locally, then
-``repro.obs.pool_worker_payload()`` serializes its finished spans (and
-metric shards) back with each work-unit result; the parent *adopts* them —
-re-rooting each orphan span under the parent's currently active span.
-Adoption rewrites only the broken parent edge: an adopted span keeps its
-original ``trace_id``, so a trace that crossed the pool boundary is still
-one trace.
 
 When observability is disabled, ``span(...)`` returns a shared no-op
 context manager: no allocation, no clock reads.
@@ -288,14 +279,6 @@ def finished_spans() -> list[dict]:
         return list(_finished)
 
 
-def drain_spans() -> list[dict]:
-    """Remove and return every buffered finished span."""
-    with _finished_lock:
-        drained = list(_finished)
-        _finished.clear()
-        return drained
-
-
 def take_trace(trace_id: str) -> list[dict]:
     """Remove and return every buffered span belonging to ``trace_id``.
 
@@ -327,24 +310,3 @@ def clear() -> None:
         _finished.clear()
         _dropped = 0
 
-
-def adopt_spans(records: list[dict]) -> None:
-    """Merge spans serialized by another process into this buffer.
-
-    Orphans (spans whose parent did not travel with them — a worker's
-    top-level unit spans) are re-rooted under the currently active span,
-    so a campaign trace nests worker spans beneath their scheduling span.
-    Only the parent edge is rewritten: an adopted span keeps its original
-    ``trace_id`` — adoption repairs the tree, it must not teleport the
-    span into the adopter's trace.
-    """
-    local_ids = {record["span_id"] for record in records}
-    active = _current_span.get()
-    for record in records:
-        parent = record.get("parent_id")
-        if parent is None or parent not in local_ids:
-            record = dict(record)
-            record["adopted"] = True
-            if active is not None:
-                record["parent_id"] = active.span_id
-        _record_finished(record)

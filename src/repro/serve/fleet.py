@@ -124,7 +124,6 @@ class FleetConfig:
     max_queue: int = 64
     batch_window_ms: float = 5.0
     kernel: str | None = None
-    executor: str | None = None
     max_inflight: int = 32
     hash_replicas: int = 64
     restart_backoff_s: float = 0.5
@@ -251,8 +250,6 @@ class FleetFrontDoor(AsyncHttpServer):
         ]
         if config.kernel:
             command += ["--kernel", config.kernel]
-        if config.executor:
-            command += ["--executor", config.executor]
         if config.trace_dir:
             command += [
                 "--trace-dir",

@@ -30,7 +30,7 @@ order to every submitted request:
 
 Execution happens on a single worker thread (``run_in_executor``), which
 serializes engine submissions — the engine itself fans out to worker
-processes when ``workers > 1``, and a single submission lane keeps the
+threads when ``workers > 1``, and a single submission lane keeps the
 `OutcomeCache` and `ModulePool` free of cross-thread races.
 """
 
@@ -103,15 +103,12 @@ class RequestScheduler:
     """Coalescing micro-batch scheduler over the characterization engine.
 
     Args:
-        workers: engine worker processes per submission (0 = in-process).
+        workers: engine worker threads per submission (0 = in-process).
         cache: shared `OutcomeCache`; created in-memory when ``None``.
         max_queue: admission bound on primary (non-coalesced) requests.
         batch_window_s: how long a bucket collects before executing.
         max_batch: a bucket reaching this size executes immediately.
         kernel: bank kernel name for risk-path simulated modules.
-        executor: engine pool backend (``threads`` / ``processes`` /
-            ``serial``; ``None`` defers to ``REPRO_EXECUTOR`` then the
-            engine default).
     """
 
     def __init__(
@@ -123,7 +120,6 @@ class RequestScheduler:
         batch_window_s: float = 0.005,
         max_batch: int = 32,
         kernel: str | None = None,
-        executor: str | None = None,
     ) -> None:
         self.workers = workers
         self.cache = cache if cache is not None else OutcomeCache()
@@ -131,7 +127,6 @@ class RequestScheduler:
         self.batch_window_s = batch_window_s
         self.max_batch = max_batch
         self.kernel = kernel
-        self.executor = executor
         self.pool = ModulePool()
         self.stats = {
             "requests": 0,
@@ -330,33 +325,29 @@ class RequestScheduler:
         """
         scale = requests[0].scale
         config = requests[0].config
-        with CharacterizationEngine(
-            scale=scale,
-            workers=self.workers,
-            executor=self.executor,
-            cache=self.cache,
-        ) as engine:
-            per_request_units = [
-                plan_units((request.serial,), config, scale)
-                for request in requests
-            ]
-            flat = []
-            slot_of: dict[str, int] = {}
-            request_slots = []
-            for units in per_request_units:
-                slots = []
-                for unit in units:
-                    unit_key = engine.unit_key(unit)
-                    index = slot_of.get(unit_key)
-                    if index is None:
-                        index = slot_of[unit_key] = len(flat)
-                        flat.append(unit)
-                    slots.append(index)
-                request_slots.append(slots)
-            union_intervals = tuple(
-                sorted({t for request in requests for t in request.intervals})
-            )
-            summaries = engine.compute_summaries(flat, union_intervals)
+        engine = CharacterizationEngine(
+            scale=scale, workers=self.workers, cache=self.cache
+        )
+        per_request_units = [
+            plan_units((request.serial,), config, scale) for request in requests
+        ]
+        flat = []
+        slot_of: dict[str, int] = {}
+        request_slots = []
+        for units in per_request_units:
+            slots = []
+            for unit in units:
+                unit_key = engine.unit_key(unit)
+                index = slot_of.get(unit_key)
+                if index is None:
+                    index = slot_of[unit_key] = len(flat)
+                    flat.append(unit)
+                slots.append(index)
+            request_slots.append(slots)
+        union_intervals = tuple(
+            sorted({t for request in requests for t in request.intervals})
+        )
+        summaries = engine.compute_summaries(flat, union_intervals)
         results = []
         for request, units, slots in zip(requests, per_request_units, request_slots):
             records = [

@@ -92,7 +92,6 @@ class ServeConfig:
     max_queue: int = 64
     batch_window_ms: float = 5.0
     kernel: str | None = None
-    executor: str | None = None
     trace_dir: str | None = None
     slow_trace_ms: float = 1000.0
     fleet_checkpoint_every: int = 500
@@ -148,7 +147,6 @@ class ReproServer(AsyncHttpServer):
             max_queue=config.max_queue,
             batch_window_s=config.batch_window_ms / 1000.0,
             kernel=config.kernel,
-            executor=config.executor,
         )
         # Fleet campaigns get their own cache handle (job threads must not
         # share the scheduler's memory tier) over the same disk directory,
@@ -385,12 +383,11 @@ async def _run_async(config: ServeConfig) -> None:
         loop.add_signal_handler(sig, _request_stop, sig.name)
     await server.start()
     _LOG.info(
-        "repro serve: listening on http://%s:%d (workers=%d, executor=%s, "
+        "repro serve: listening on http://%s:%d (workers=%d, "
         "max_queue=%d, batch_window=%gms)",
         config.host,
         server.port,
         config.workers,
-        config.executor or "auto",
         config.max_queue,
         config.batch_window_ms,
         extra={"host": config.host, "port": server.port},

@@ -1,8 +1,8 @@
 """Serial fallback on hosts without parallelism (the CI 1-core case).
 
 BENCH_engine.json measured ``parallel_speedup: 0.518`` on a 1-core runner:
-a worker pool on a host with ``os.cpu_count() <= 1`` only adds spawn and
-pickling overhead.  The engine must detect that, warn through the logging
+a worker pool on a host with ``os.cpu_count() <= 1`` only adds scheduling
+overhead.  The engine must detect that, warn through the logging
 / observability channels, record the decision in the run trace, and
 execute in-process — while producing bit-identical records.
 """
@@ -26,8 +26,8 @@ pytestmark = pytest.mark.engine
 
 
 def _records(**knobs):
-    with CharacterizationEngine(scale=QUICK_SCALE, **knobs) as engine:
-        return engine.characterize_module("S0", WORST_CASE, INTERVALS)
+    engine = CharacterizationEngine(scale=QUICK_SCALE, **knobs)
+    return engine.characterize_module("S0", WORST_CASE, INTERVALS)
 
 
 @pytest.fixture
@@ -85,17 +85,16 @@ def test_no_fallback_on_multicore_host(monkeypatch):
 
 def test_serial_fallback_false_forces_pool(one_cpu):
     trace = RunTrace()
-    # executor="processes": the worker-pid assertion below needs worker
-    # *processes*; the default thread backend computes under this pid.
-    records = _records(
-        workers=2, trace=trace, serial_fallback=False, executor="processes"
+    engine = CharacterizationEngine(
+        scale=QUICK_SCALE, workers=2, trace=trace, serial_fallback=False
     )
+    records = engine.characterize_module("S0", WORST_CASE, INTERVALS)
     assert trace.summary()["decisions"] == []
     assert records == _records()
-    # A real pool executed the units in worker processes.
+    # A real two-thread pool executed the units.
+    assert engine.last_execution["effective_workers"] == 2
     computed = [r for r in trace.records if r.source == "computed"]
-    assert computed and all(r.worker != os.getpid() for r in computed)
-    assert all(r.executor == "processes" for r in computed)
+    assert computed and all(r.executor == "threads" for r in computed)
 
 
 def test_serial_engine_records_no_decision(one_cpu):

@@ -2,10 +2,10 @@
 
 Faults are injected deterministically through ``REPRO_ENGINE_FAULT``
 (`repro.core.engine.FAULT_ENV`): a JSON spec selects a victim subarray, a
-fault mode (``poison`` = worker raises, ``crash`` = worker process dies,
-``hang`` = worker sleeps past any timeout), and how many attempts fault
-before the unit starts succeeding (claimed atomically via marker files, so
-the budget is shared across worker processes).
+fault mode (``poison`` = the unit raises, ``hang`` = a pool thread sleeps
+past the unit timeout), and how many attempts fault before the unit starts
+succeeding (claimed atomically via marker files, so the budget is shared
+across pool threads).
 
 The invariants under test: a campaign never leaves a *silent* hole — a
 failed unit is either retried to success, reported via
@@ -15,6 +15,8 @@ the serial, fault-free path.
 """
 
 import json
+import threading
+import time
 from functools import lru_cache
 
 import pytest
@@ -53,6 +55,7 @@ def inject(monkeypatch, tmp_path):
     """Arm the deterministic fault injector for this test."""
 
     def _inject(mode: str, subarray: int = VICTIM, times: int = 1, **extra):
+        baseline()  # computed fault-free, whichever test runs first
         fault_dir = tmp_path / "faults"
         fault_dir.mkdir(exist_ok=True)
         spec = {
@@ -65,18 +68,13 @@ def inject(monkeypatch, tmp_path):
 
 
 def run(**knobs):
-    # serial_fallback=False + executor="processes": these tests exercise
-    # process-pool mechanics (worker death, respawn, timeouts) and must
-    # use a real process pool even on 1-CPU CI — the default thread
-    # backend cannot lose a worker without losing this test process.
-    # Context-managed so the engine's shared-memory segments unlink here
-    # instead of lingering (same-pid leftovers would shadow later
-    # publishes in this test process).
-    with CharacterizationEngine(
-        scale=QUICK_SCALE, serial_fallback=False, executor="processes",
-        **knobs
-    ) as engine:
-        return engine.characterize_module("S0", WORST_CASE, INTERVALS)
+    # serial_fallback=False: these tests exercise pool mechanics (retries
+    # and timeouts on pool threads) and must use a real pool even on a
+    # 1-CPU host.
+    engine = CharacterizationEngine(
+        scale=QUICK_SCALE, serial_fallback=False, **knobs
+    )
+    return engine.characterize_module("S0", WORST_CASE, INTERVALS)
 
 
 # ---------------------------------------------------------------------------
@@ -122,44 +120,33 @@ def test_poison_skip_policy_leaves_explicit_hole(inject, workers):
 
 
 # ---------------------------------------------------------------------------
-# Killed workers (BrokenProcessPool)
-# ---------------------------------------------------------------------------
-
-def test_worker_crash_recovered_by_pool_respawn(inject):
-    """One worker death costs one pool respawn, not the campaign."""
-    inject("crash", times=1)
-    assert run(workers=2, retries=0) == list(baseline())
-
-
-def test_persistent_crasher_degrades_to_serial_and_skips(inject):
-    """Two pool failures degrade to in-process execution; the crashing
-    unit is skipped under the policy, everything else completes."""
-    inject("crash", times=99)
-    records = run(
-        workers=2, retries=0, failure_policy="skip-with-record"
-    )
-    assert records[VICTIM].status == "skipped"
-    for i, record in enumerate(records):
-        if i != VICTIM:
-            assert record == baseline()[i]
-
-
-def test_persistent_crasher_raise_policy_aborts(inject):
-    inject("crash", times=99)
-    with pytest.raises(UnitExecutionError):
-        run(workers=2, retries=0, failure_policy="raise")
-
-
-# ---------------------------------------------------------------------------
 # Hung workers (per-unit timeout)
 # ---------------------------------------------------------------------------
 
+#: The hung pool thread sleeps this long; the unit times out at half of it.
+HANG_S = 3.0
+TIMEOUT_S = 1.5
+
+
+def abandoned_threads(before: set) -> list[threading.Thread]:
+    """Engine pool threads started since ``before`` that are still alive."""
+    return [
+        thread for thread in threading.enumerate()
+        if thread not in before and thread.name.startswith("repro-engine")
+    ]
+
+
 def test_hung_worker_times_out_and_skips(inject):
-    inject("hang", times=99, hang_s=60.0)
+    inject("hang", times=99, hang_s=HANG_S)
+    before, start = set(threading.enumerate()), time.monotonic()
     records = run(
-        workers=2, retries=0, timeout=1.5,
+        workers=2, retries=0, timeout=TIMEOUT_S,
         failure_policy=FailurePolicy.SKIP,
     )
+    # The campaign returned without joining the hung thread, which is
+    # still sleeping.
+    assert time.monotonic() - start < HANG_S
+    assert abandoned_threads(before)
     assert records[VICTIM].status == "skipped"
     assert records[VICTIM].cd_flips == {}
     for i, record in enumerate(records):
@@ -168,9 +155,23 @@ def test_hung_worker_times_out_and_skips(inject):
 
 
 def test_hung_worker_times_out_and_raises(inject):
-    inject("hang", times=99, hang_s=60.0)
+    inject("hang", times=99, hang_s=HANG_S)
+    before, start = set(threading.enumerate()), time.monotonic()
     with pytest.raises(UnitExecutionError, match="timed out"):
-        run(workers=2, retries=0, timeout=1.5)
+        run(workers=2, retries=0, timeout=TIMEOUT_S)
+    assert time.monotonic() - start < HANG_S
+    assert abandoned_threads(before)
+
+
+def test_hung_worker_retried_on_fresh_pool(inject):
+    """A timed-out unit with attempts left runs again on a fresh pool."""
+    inject("hang", times=1, hang_s=HANG_S)
+    trace = RunTrace()
+    records = run(workers=2, retries=1, timeout=TIMEOUT_S, trace=trace)
+    assert records == list(baseline())
+    (victim,) = [r for r in trace.records if r.subarray == VICTIM]
+    assert victim.attempts == 2
+    assert victim.executor == "threads"
 
 
 # ---------------------------------------------------------------------------

@@ -37,24 +37,28 @@ def _serial(config):
 
 
 @pytest.mark.engine
-@pytest.mark.parametrize("executor", ("threads", "processes"))
+@pytest.mark.parametrize("workers", (0, 4), ids=("serial", "threads"))
 @pytest.mark.parametrize("config", CONFIGS, ids=("worst-case", "alt"))
-def test_parallel_cached_engine_matches_serial(tmp_path, config, executor):
-    """Both pool backends — GIL-releasing threads and shared-memory
-    processes — must be bit-identical to the serial walk."""
+def test_parallel_cached_engine_matches_serial(tmp_path, config, workers):
+    """The in-process engine and the thread pool, with and without a
+    cache, must be bit-identical to the serial walk."""
     serial_records = _serial(config)
-    cache = OutcomeCache(tmp_path)
-    with CharacterizationEngine(
-        scale=QUICK_SCALE, workers=4, executor=executor, cache=cache,
-        serial_fallback=False,
-    ) as engine:
-        cold = engine.characterize_modules(MODULES, config, INTERVALS)
-        assert cold == serial_records
-        assert engine.last_execution["effective_executor"] == executor
+    uncached = CharacterizationEngine(
+        scale=QUICK_SCALE, workers=workers, serial_fallback=False
+    )
+    assert uncached.characterize_modules(MODULES, config, INTERVALS) \
+        == serial_records
+    assert uncached.last_execution["effective_workers"] == max(workers, 1)
 
-        warm = engine.characterize_modules(MODULES, config, INTERVALS)
-        assert warm == serial_records
-        assert cache.hits >= len(serial_records)
+    cache = OutcomeCache(tmp_path)
+    engine = CharacterizationEngine(
+        scale=QUICK_SCALE, workers=workers, cache=cache, serial_fallback=False
+    )
+    cold = engine.characterize_modules(MODULES, config, INTERVALS)
+    assert cold == serial_records
+    warm = engine.characterize_modules(MODULES, config, INTERVALS)
+    assert warm == serial_records
+    assert cache.hits >= len(serial_records)
 
 
 @pytest.mark.engine

@@ -3,7 +3,7 @@ exactly with the campaign records and run traces the library produces —
 two views of the same events can never disagree.
 
 Also the RunTrace.summary regression tests (empty / all-skipped traces) and
-span propagation across the engine's process pool.
+span propagation across the engine's thread pool.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from repro.chip.catalog import get_module
 from repro.chip.geometry import BankGeometry
 from repro.core.campaign import Campaign, CampaignScale, QUICK_SCALE
 from repro.core.config import WORST_CASE
-from repro.core.engine import CharacterizationEngine
+from repro.core.engine import FAULT_ENV, CharacterizationEngine
 from repro.core.telemetry import RunTrace, UnitTrace
 
 INTERVALS = (0.512, 16.0)
@@ -109,13 +109,28 @@ def test_engine_and_serial_paths_report_identical_flip_totals():
 
 
 @pytest.mark.engine
-@pytest.mark.parametrize("executor", ("threads", "processes"))
-def test_worker_spans_nest_under_campaign_span(executor):
+@pytest.mark.parametrize(
+    "poison_once", (False, True), ids=("threads", "threads-poison-once")
+)
+def test_worker_spans_nest_under_campaign_span(poison_once, monkeypatch, tmp_path):
+    """Pool threads run each unit, first attempt or retry, in a copy of the
+    submitting context, so every unit span is a native child of the
+    campaign span on the campaign's trace."""
+    victim = 1
+    if poison_once:
+        monkeypatch.setenv(
+            FAULT_ENV,
+            json.dumps(
+                {"mode": "poison", "subarray": victim, "times": 1, "dir": str(tmp_path)}
+            ),
+        )
     obs.enable()
-    with CharacterizationEngine(
-        scale=QUICK_SCALE, workers=2, executor=executor, serial_fallback=False
-    ) as engine:
-        engine.characterize_module("S0", WORST_CASE, INTERVALS)
+    CharacterizationEngine(
+        scale=QUICK_SCALE, workers=2, retries=1, retry_backoff=0.0,
+        serial_fallback=False,
+    ).characterize_module("S0", WORST_CASE, INTERVALS)
+    retries = _counter_value(obs.snapshot(), "engine_unit_retries_total")
+    assert retries == (1 if poison_once else 0)
     spans = obs.finished_spans()
     by_name = {}
     for record in spans:
@@ -124,19 +139,11 @@ def test_worker_spans_nest_under_campaign_span(executor):
     campaign_span = by_name["engine.characterize"][0]
     unit_spans = by_name["engine.unit"]
     assert len(unit_spans) == len(QUICK_SCALE.subarray_indices())
+    assert [s["attributes"]["subarray"] for s in unit_spans].count(victim) == 1
     for unit_span in unit_spans:
         assert unit_span["parent_id"] == campaign_span["span_id"]
-        if executor == "processes":
-            # Process workers ship their spans home in the result
-            # payload; the campaign process adopts and re-roots them.
-            assert unit_span["adopted"] is True
-            assert unit_span["pid"] != campaign_span["pid"]
-        else:
-            # Thread workers share the campaign process: their spans are
-            # native children (the engine copies the submitting context
-            # into each task), never adopted orphans.
-            assert "adopted" not in unit_span
-            assert unit_span["pid"] == campaign_span["pid"]
+        assert unit_span["trace_id"] == campaign_span["trace_id"]
+        assert unit_span["pid"] == campaign_span["pid"]
 
 
 def test_bender_command_counts_match_program(tiny_geometry):

@@ -1,5 +1,5 @@
 """Distributed tracing: trace identity, W3C traceparent propagation,
-span links, and the cross-process adoption/late-mutation regressions."""
+span links, and the late-mutation regression."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import re
 import pytest
 
 from repro import obs
-from repro.obs import tracing
 
 VALID_TRACE = "0af7651916cd43dd8448eb211c80319c"
 VALID_SPAN = "b7ad6b7169203331"
@@ -155,7 +154,7 @@ def test_unlinked_spans_omit_the_links_key():
 
 
 # ---------------------------------------------------------------------------
-# Late-mutation and adoption regressions
+# Late-mutation regression
 # ---------------------------------------------------------------------------
 
 def test_set_attribute_after_exit_does_not_rewrite_history():
@@ -168,49 +167,6 @@ def test_set_attribute_after_exit_does_not_rewrite_history():
     (record,) = obs.finished_spans()
     assert record["attributes"] == {"during": 1}
     assert "links" not in record
-
-
-def test_adopted_spans_keep_their_original_trace_id():
-    obs.enable()
-    foreign = {
-        "name": "engine.unit",
-        "trace_id": VALID_TRACE,
-        "span_id": "feedfacecafebeef",
-        "parent_id": "deadbeefdeadbeef",  # did not travel: orphan
-        "start_unix": 0.0,
-        "duration_s": 0.1,
-        "pid": 12345,
-        "attributes": {},
-    }
-    with obs.span("campaign") as campaign:
-        tracing.adopt_spans([foreign])
-    adopted = [r for r in obs.finished_spans() if r.get("adopted")]
-    (record,) = adopted
-    assert record["parent_id"] == campaign.span_id  # tree repaired...
-    assert record["trace_id"] == VALID_TRACE        # ...trace untouched
-
-
-def test_adoption_preserves_intact_parent_edges():
-    obs.enable()
-    parent = {
-        "name": "worker.parent",
-        "trace_id": VALID_TRACE,
-        "span_id": "aaaaaaaaaaaaaaaa",
-        "parent_id": None,
-        "start_unix": 0.0,
-        "duration_s": 0.2,
-        "pid": 12345,
-        "attributes": {},
-    }
-    child = dict(parent, name="worker.child", span_id="bbbbbbbbbbbbbbbb",
-                 parent_id="aaaaaaaaaaaaaaaa")
-    with obs.span("campaign"):
-        tracing.adopt_spans([parent, child])
-    records = {r["name"]: r for r in obs.finished_spans()}
-    assert records["worker.parent"].get("adopted") is True
-    assert "adopted" not in records["worker.child"]
-    assert records["worker.child"]["parent_id"] == "aaaaaaaaaaaaaaaa"
-    assert records["worker.child"]["trace_id"] == VALID_TRACE
 
 
 # ---------------------------------------------------------------------------
