@@ -124,8 +124,8 @@ class OutcomeSummary:
     same way, and retention metrics (monotone in ``t``) store plain sorted
     failure times.  The arrays are small (weak cells only), picklable, and
     answer *any* interval ``<= horizon`` bit-identically to the full
-    per-cell masks — which makes this the unit the campaign engine ships
-    between processes and the outcome cache stores on disk.
+    per-cell masks — which makes this the unit the campaign engine returns
+    from its pool threads and the outcome cache stores on disk.
 
     Attributes:
         rows: rows in the summarized subarray.
@@ -184,38 +184,41 @@ class OutcomeSummary:
 
 
 def _merged_row_intervals(
-    row_index: np.ndarray, starts: np.ndarray, ends: np.ndarray
+    row_index: np.ndarray, starts: np.ndarray, ends: np.ndarray, rows: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Merge each row's half-open cell intervals into disjoint unions.
 
-    Returns the (unsorted) concatenated start/end endpoints of the merged
-    intervals across all rows.
+    ``starts`` must be ascending; ``row_index`` (each cell's row, below
+    ``rows``) and ``ends`` are aligned with it.  Returns the (unsorted)
+    start/end endpoints of the merged intervals across all rows.
     """
     if row_index.size == 0:
         empty = np.empty(0, dtype=np.float64)
         return empty, empty
-    order = np.lexsort((starts, row_index))
-    row_index = row_index[order]
+    counts = np.bincount(row_index, minlength=rows)
+    # Group the cells by row, each row's cells staying in start order.  A
+    # stable sort of 16-bit keys is a radix sort; `BankGeometry` has no row
+    # limit, so wider row indices take the general stable sort.
+    keys = row_index.astype(np.uint16) if rows <= 1 << 16 else row_index
+    order = np.argsort(keys, kind="stable")
     starts = starts[order]
     ends = ends[order]
-    out_starts: list[np.ndarray] = []
-    out_ends: list[np.ndarray] = []
-    boundaries = np.nonzero(np.diff(row_index))[0] + 1
-    for lo, hi in zip(
-        np.concatenate(([0], boundaries)),
-        np.concatenate((boundaries, [row_index.size])),
-    ):
-        group_starts = starts[lo:hi]
-        running_end = np.maximum.accumulate(ends[lo:hi])
-        # A merged interval begins wherever a cell interval starts after
-        # every earlier interval of the row has already ended.
-        new = np.empty(hi - lo, dtype=bool)
-        new[0] = True
-        new[1:] = group_starts[1:] > running_end[:-1]
-        first = np.nonzero(new)[0]
-        out_starts.append(group_starts[first])
-        out_ends.append(running_end[np.append(first[1:] - 1, hi - lo - 1)])
-    return np.concatenate(out_starts), np.concatenate(out_ends)
+    # Exact per-row running max of the ends: lay each row's ends out
+    # left-aligned in a rows x (most cells in a row) array padded with -inf,
+    # so the max running along a row sees only that row's earlier cells.
+    width = int(counts.max())
+    position = np.repeat(np.arange(rows) * width - (np.cumsum(counts) - counts), counts)
+    position += np.arange(position.size)
+    padded = np.full((rows, width), -np.inf)
+    padded.flat[position] = ends
+    np.maximum.accumulate(padded, axis=1, out=padded)
+    running_end = padded.take(position)
+    # A merged interval begins at a row's first cell (column 0) and wherever
+    # a cell interval starts after every earlier interval of the row ended.
+    new = position % width == 0
+    new[1:] |= starts[1:] > running_end[:-1]
+    first = np.flatnonzero(new)
+    return starts[first], running_end[np.append(first[1:] - 1, position.size - 1)]
 
 
 @dataclass
@@ -258,34 +261,41 @@ class SubarrayOutcome:
         return self._summary
 
     def _build_summary(self, horizon: float) -> OutcomeSummary:
-        starts = self.cd_times
-        ends = self.retention_worst
+        rows, columns = self.cd_times.shape
+        starts = self.cd_times.reshape(-1)
+        ends = self.retention_worst.reshape(-1)
         # A cell whose retention-worst time precedes its ColumnDisturb time
         # is filtered out at every interval; drop it from the event lists.
-        eligible = (starts <= horizon) & (starts < ends)
-        row_index, _ = np.nonzero(eligible)
-        cell_starts = starts[eligible]
-        cell_ends = ends[eligible]
+        cells = np.flatnonzero((starts <= horizon) & (starts < ends))
+        # One sort of the starts serves both the cell events and the merge.
+        cells = cells[np.argsort(starts.take(cells))]
+        cell_starts = starts.take(cells)
+        cell_ends = ends.take(cells)
         row_starts, row_ends = _merged_row_intervals(
-            row_index, cell_starts, cell_ends
+            cells // columns, cell_starts, cell_ends, rows
         )
+        if horizon >= SEARCH_INTERVAL:
+            # Every cell with cd <= SEARCH_INTERVAL < retention_worst is
+            # eligible, and the starts are ascending: the first such is the
+            # subarray's first bitflip.
+            hits = (cell_starts <= SEARCH_INTERVAL) & (cell_ends > SEARCH_INTERVAL)
+            first = cell_starts[hits]
+            time_to_first = float(first[0]) if first.size else float("inf")
+        else:
+            time_to_first = self.time_to_first_flip()
         nominal = self.retention_nominal
-        row_first_retention = (
-            nominal.min(axis=1) if nominal.size else np.empty(0)
-        )
+        row_first_retention = nominal.min(axis=1) if nominal.size else np.empty(0)
         return OutcomeSummary(
-            rows=self.cd_times.shape[0],
+            rows=rows,
             cells=self.cd_times.size,
             horizon=horizon,
-            time_to_first=self.time_to_first_flip(),
-            cd_cell_starts=np.sort(cell_starts),
+            time_to_first=time_to_first,
+            cd_cell_starts=cell_starts,
             cd_cell_ends=np.sort(cell_ends[cell_ends <= horizon]),
             cd_row_starts=np.sort(row_starts),
             cd_row_ends=np.sort(row_ends[row_ends <= horizon]),
             ret_cell_times=np.sort(nominal[nominal <= horizon], axis=None),
-            ret_row_times=np.sort(
-                row_first_retention[row_first_retention <= horizon]
-            ),
+            ret_row_times=np.sort(row_first_retention[row_first_retention <= horizon]),
         )
 
     def _cd_flips(self, interval: float) -> np.ndarray:
@@ -415,12 +425,9 @@ def disturb_outcome(
         lo = max(0, aggressor_local_row - guardband)
         hi = min(population.rows, aggressor_local_row + guardband + 1)
         included_rows[lo:hi] = False
-        cd_times = cd_times.copy()
         cd_times[lo:hi, :] = np.inf
 
-    retention_nominal, retention_worst = population.retention_time_arrays(
-        temperature
-    )
+    retention_nominal, retention_worst = population.retention_time_arrays(temperature)
     retention_nominal = np.where(charged, retention_nominal, np.inf)
     retention_worst = np.where(charged, retention_worst, np.inf)
 
