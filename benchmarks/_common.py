@@ -14,22 +14,15 @@ the paper-matching 8 x 1024 x 2048 geometry (slower, more memory).
 
 from __future__ import annotations
 
-import atexit
 import json
 import os
-import sys
 from collections.abc import Iterator
 from pathlib import Path
 
 from repro.chip import BankGeometry, SimulatedModule, ddr4_modules, get_module
 from repro.chip.cells import CellPopulation
 from repro.chip.module import ModuleSpec
-from repro.core import (
-    CampaignScale,
-    CharacterizationEngine,
-    OutcomeCache,
-    RunTrace,
-)
+from repro.core import CampaignScale
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -87,61 +80,6 @@ else:
 BENCH_SCALE = CampaignScale(BENCH_GEOMETRY)
 
 MANUFACTURERS = ("SK Hynix", "Micron", "Samsung")
-
-#: Engine opt-in for the figure benches: ``REPRO_BENCH_WORKERS=N`` runs
-#: campaigns on N worker threads, ``REPRO_BENCH_CACHE=DIR`` adds a
-#: persistent outcome cache shared across benches and runs, and
-#: ``REPRO_BENCH_TRACE=FILE`` streams per-unit run telemetry as JSONL
-#: (with a summary printed at interpreter exit).  All default off;
-#: results are bit-identical either way.
-BENCH_WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "0"))
-BENCH_CACHE_DIR = os.environ.get("REPRO_BENCH_CACHE") or None
-BENCH_TRACE_PATH = os.environ.get("REPRO_BENCH_TRACE") or None
-
-#: Process-wide cache instance so every bench in one run shares outcomes.
-_BENCH_CACHE: OutcomeCache | None = None
-
-#: Process-wide trace so every bench in one run appends to one JSONL file.
-_BENCH_TRACE: RunTrace | None = None
-
-
-def bench_trace() -> RunTrace | None:
-    """The shared run trace, or ``None`` when ``REPRO_BENCH_TRACE`` unset."""
-    global _BENCH_TRACE
-    if _BENCH_TRACE is None and BENCH_TRACE_PATH:
-        _BENCH_TRACE = RunTrace(BENCH_TRACE_PATH)
-        atexit.register(_finish_trace, _BENCH_TRACE)
-    return _BENCH_TRACE
-
-
-def _finish_trace(trace: RunTrace) -> None:
-    trace.close()
-    if trace.records:
-        print(f"\n[{BENCH_TRACE_PATH}]", file=sys.stderr)
-        print(trace.summary_table(), file=sys.stderr)
-
-
-def bench_cache() -> OutcomeCache | None:
-    """The shared engine cache, or ``None`` when neither knob is set.
-
-    An in-memory cache is still worthwhile with ``REPRO_BENCH_WORKERS``
-    alone unset — benches that repeat a condition skip recomputation — so
-    a cache is created whenever either knob is enabled.
-    """
-    global _BENCH_CACHE
-    if _BENCH_CACHE is None and (BENCH_CACHE_DIR or BENCH_WORKERS):
-        _BENCH_CACHE = OutcomeCache(BENCH_CACHE_DIR)
-    return _BENCH_CACHE
-
-
-def bench_engine(scale: CampaignScale | None = None) -> CharacterizationEngine:
-    """A characterization engine configured from the bench env knobs."""
-    return CharacterizationEngine(
-        scale=scale or BENCH_SCALE,
-        workers=BENCH_WORKERS,
-        cache=bench_cache(),
-        trace=bench_trace(),
-    )
 
 
 def emit(name: str, text: str) -> None:

@@ -149,6 +149,18 @@ class OutcomeSummary:
     ret_cell_times: np.ndarray
     ret_row_times: np.ndarray
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the six event arrays."""
+        return (
+            self.cd_cell_starts.nbytes
+            + self.cd_cell_ends.nbytes
+            + self.cd_row_starts.nbytes
+            + self.cd_row_ends.nbytes
+            + self.ret_cell_times.nbytes
+            + self.ret_row_times.nbytes
+        )
+
     def _check(self, interval: float) -> None:
         if interval > self.horizon:
             raise ValueError(

@@ -32,6 +32,7 @@ import dataclasses
 import hashlib
 import itertools
 import os
+import threading
 import time
 import zipfile
 from collections import OrderedDict
@@ -82,6 +83,11 @@ _ENTRIES = obs.gauge(
 )
 _ENTRIES_MEMORY = _ENTRIES.labels(tier="memory")
 _ENTRIES_DISK = _ENTRIES.labels(tier="disk")
+_MEMORY_BYTES = obs.gauge(
+    "cache_memory_bytes",
+    "Summary array bytes held by the memory tier of the most recently "
+    "active outcome cache.",
+)
 
 #: Bump when the summary layout or the outcome semantics change: old disk
 #: entries become unreachable instead of wrong.
@@ -165,6 +171,10 @@ class OutcomeCache:
         tmp_sweep_age_s: float = TMP_SWEEP_AGE_S,
     ) -> None:
         self._memory: OrderedDict[str, OutcomeSummary] = OrderedDict()
+        # Fleet pool threads share one cache: the byte total is a
+        # read-modify-write, so the memory-tier bookkeeping is serialized.
+        self._memory_lock = threading.Lock()
+        self.memory_bytes = 0
         self.max_memory_entries = max_memory_entries
         self.directory = Path(directory) if directory is not None else None
         self.lookups = 0
@@ -230,9 +240,11 @@ class OutcomeCache:
     @property
     def stats(self) -> dict[str, int]:
         """Mutually consistent counters: ``hits + misses == lookups``;
-        ``disk_hits`` is the subset of ``hits`` answered from disk."""
+        ``disk_hits`` is the subset of ``hits`` answered from disk;
+        ``memory_bytes`` is the summary array bytes the memory tier holds."""
         return {
             "entries": len(self._memory),
+            "memory_bytes": self.memory_bytes,
             "disk_entries": self.disk_entries,
             "lookups": self.lookups,
             "hits": self.hits,
@@ -250,6 +262,7 @@ class OutcomeCache:
             return
         _ENTRIES_MEMORY.set(len(self._memory))
         _ENTRIES_DISK.set(self.disk_entries)
+        _MEMORY_BYTES.set(self.memory_bytes)
         if self.lookups:
             _HIT_RATIO.set(self.hits / self.lookups)
 
@@ -257,13 +270,22 @@ class OutcomeCache:
     # Memory tier
     # ------------------------------------------------------------------
     def _remember(self, key: str, summary: OutcomeSummary) -> None:
-        self._memory[key] = summary
-        self._memory.move_to_end(key)
-        if self.max_memory_entries is not None:
-            while len(self._memory) > self.max_memory_entries:
-                self._memory.popitem(last=False)
-                self.evictions += 1
-                _EVICTIONS.inc()
+        """Hold ``summary`` as the most recent entry, replacing any older
+        summary of ``key``, and keep ``memory_bytes`` equal to the sum of
+        the held entries' bytes."""
+        with self._memory_lock:
+            replaced = self._memory.get(key)
+            if replaced is not None:
+                self.memory_bytes -= replaced.nbytes
+            self._memory[key] = summary
+            self._memory.move_to_end(key)
+            self.memory_bytes += summary.nbytes
+            if self.max_memory_entries is not None:
+                while len(self._memory) > self.max_memory_entries:
+                    _, evicted = self._memory.popitem(last=False)
+                    self.memory_bytes -= evicted.nbytes
+                    self.evictions += 1
+                    _EVICTIONS.inc()
 
     # ------------------------------------------------------------------
     # Disk tier

@@ -30,11 +30,18 @@ Telemetry: pass ``trace=RunTrace(...)`` (`repro.core.telemetry`) to record
 per-unit wall time, retry counts, and cache tier, streamed as JSONL while
 the campaign runs.
 
+Summary sizing: every pass builds its summaries to
+``max(SEARCH_INTERVAL, *intervals)`` — the longest interval it must answer,
+and never less than the 512 ms time-to-first search — so no pass pays for
+events past the question it was asked.
+
 Outcome caching: units are content-addressed (`repro.core.cache`), keyed on
-the *condition* rather than the queried intervals, so benches that share a
-condition — same module, same ``WORST_CASE`` config, different refresh
-intervals — compute each subarray outcome exactly once per run (memory
-tier) and, with ``cache=OutcomeCache(path)``, once across runs (disk tier).
+the *condition* rather than the queried intervals, so passes that share a
+condition reuse one summary for every interval up to its horizon.  A pass
+asking for a longer interval than a cached summary covers misses, computes
+the unit once and replaces the entry with the longer summary: entries only
+grow, one recompute per growth step.  With ``cache=OutcomeCache(path)``
+the summaries also persist across runs (disk tier).
 """
 
 from __future__ import annotations
@@ -57,6 +64,7 @@ from repro.chip.geometry import BankGeometry
 from repro.chip.module import ModuleSpec
 from repro.chip.timing import DDR4, HBM2, TimingParameters
 from repro.core.analytic import (
+    DEFAULT_SUMMARY_HORIZON,
     GUARDBAND_ROWS,
     OutcomeSummary,
     SubarrayRole,
@@ -73,9 +81,9 @@ from repro.core.config import SEARCH_INTERVAL, DisturbConfig
 from repro.core.telemetry import RunTrace, UnitTrace, record_unit_metrics
 from repro.obs import state as _obs_state
 
-#: Default event horizon of engine summaries; 8x the paper's longest tested
-#: refresh interval, so every figure bench hits the same cache entries.
-DEFAULT_ENGINE_HORIZON = 128.0
+#: Default horizon of a summary built by `execute_unit` alone.  Engine
+#: passes never use it: they size each summary to the intervals they answer.
+DEFAULT_ENGINE_HORIZON = DEFAULT_SUMMARY_HORIZON
 
 #: Exponential backoff never sleeps longer than this between attempts.
 MAX_BACKOFF_S = 2.0
@@ -373,8 +381,6 @@ class CharacterizationEngine:
             `Campaign`).
         workers: thread-pool width; ``0``/``1`` run in-process (serial).
         cache: optional `OutcomeCache`; hits skip computation entirely.
-        horizon: event horizon of computed summaries — any interval up to
-            this is answerable from cache without recomputation.
         retries: extra attempts per unit after a failed first execution.
         retry_backoff: base of the exponential backoff between attempts
             (``backoff * 2**(failures - 1)`` seconds, capped).
@@ -397,7 +403,6 @@ class CharacterizationEngine:
     scale: CampaignScale = STANDARD_SCALE
     workers: int = 0
     cache: OutcomeCache | None = None
-    horizon: float = DEFAULT_ENGINE_HORIZON
     guardband: int = GUARDBAND_ROWS
     retries: int = 0
     retry_backoff: float = 0.05
@@ -460,11 +465,12 @@ class CharacterizationEngine:
         The submission hook used by `repro.serve`: a caller that plans (and
         possibly deduplicates or merges) its own unit lists still gets the
         full engine treatment — cache lookups, pool execution, retries,
-        timeout, and the failure policy.  The computed horizon covers
-        ``intervals``, so any of them is answerable from each summary; a
+        timeout, and the failure policy.  Each summary answers every
+        interval up to ``max(SEARCH_INTERVAL, *intervals)``; a cached one
+        that is shorter is recomputed to that horizon and replaced.  A
         ``None`` entry is a unit abandoned under ``skip-with-record``.
         """
-        horizon = max((self.horizon, SEARCH_INTERVAL, *intervals))
+        horizon = max((SEARCH_INTERVAL, *intervals))
         return self._summaries(list(units), horizon)
 
     def unit_key(self, unit: WorkUnit) -> str:

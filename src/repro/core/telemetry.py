@@ -13,9 +13,8 @@ numbers an operator actually wants: p50/p95 unit latency, cache hit
 ratio, and how many units were retried or skipped.
 
 Opting in: ``CharacterizationEngine(trace=RunTrace(path))``,
-``Campaign(trace=...)``, ``repro characterize --trace FILE`` on the CLI,
-or ``REPRO_BENCH_TRACE=FILE`` for the figure benches.  Tracing is off by
-default and costs nothing when off.
+``Campaign(trace=...)`` or ``repro characterize --trace FILE`` on the
+CLI.  Tracing is off by default and costs nothing when off.
 """
 
 from __future__ import annotations

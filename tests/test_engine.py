@@ -1,11 +1,15 @@
 """Unit tests of the engine building blocks: work units, summaries, cache."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.chip import DDR4, get_module
 from repro.chip.cells import CellPopulation
 from repro.core import (
+    DEFAULT_ENGINE_HORIZON,
     QUICK_SCALE,
     SEARCH_INTERVAL,
     WORST_CASE,
@@ -170,21 +174,147 @@ def test_cache_memory_only():
     unit = plan_units(("S0",), WORST_CASE, QUICK_SCALE)[0]
     key = unit.cache_key()
     assert cache.get(key) is None
-    cache.put(key, execute_unit(unit, horizon=2.0))
+    summary = execute_unit(unit, horizon=2.0)
+    cache.put(key, summary)
     assert cache.get(key, min_horizon=2.0) is not None
     assert len(cache) == 1
     assert cache.stats == {
-        "entries": 1, "disk_entries": 0, "lookups": 2, "hits": 1,
-        "misses": 1, "disk_hits": 0, "quarantined": 0, "evictions": 0,
-        "swept_tmp": 0,
+        "entries": 1, "memory_bytes": summary.nbytes, "disk_entries": 0,
+        "lookups": 2, "hits": 1, "misses": 1, "disk_hits": 0,
+        "quarantined": 0, "evictions": 0, "swept_tmp": 0,
     }
     assert cache.stats["hits"] + cache.stats["misses"] \
         == cache.stats["lookups"]
 
 
+def test_summary_nbytes_sums_its_arrays():
+    unit = plan_units(("S0",), WORST_CASE, QUICK_SCALE)[0]
+    summary = execute_unit(unit, horizon=16.0)
+    arrays = (
+        summary.cd_cell_starts, summary.cd_cell_ends, summary.cd_row_starts,
+        summary.cd_row_ends, summary.ret_cell_times, summary.ret_row_times,
+    )
+    assert summary.nbytes == sum(array.nbytes for array in arrays) > 0
+
+
+def test_cache_memory_bytes_tracks_held_entries():
+    """``memory_bytes`` is the sum of the held entries' bytes after a put,
+    a larger-horizon replace and an LRU eviction."""
+    units = plan_units(("S0",), WORST_CASE, QUICK_SCALE)[:3]
+    keys = [unit.cache_key() for unit in units]
+    short = [execute_unit(unit, horizon=1.0) for unit in units]
+    longer = execute_unit(units[0], horizon=16.0)
+    assert longer.nbytes > short[0].nbytes
+    cache = OutcomeCache(max_memory_entries=2)
+    cache.put(keys[0], short[0])
+    assert cache.stats["memory_bytes"] == short[0].nbytes
+    cache.put(keys[1], short[1])
+    assert cache.stats["memory_bytes"] == short[0].nbytes + short[1].nbytes
+    cache.put(keys[0], longer)  # replaces key 0, which becomes most recent
+    assert len(cache) == 2
+    assert cache.stats["memory_bytes"] == longer.nbytes + short[1].nbytes
+    cache.put(keys[2], short[2])  # evicts key 1
+    assert cache.stats["evictions"] == 1
+    assert cache.get(keys[1]) is None
+    assert cache.stats["memory_bytes"] == longer.nbytes + short[2].nbytes
+
+
+def test_cache_memory_bytes_exact_under_concurrent_puts():
+    """Fleet pool threads share one cache: no byte update may be lost."""
+    empty = np.empty(0)
+    sizes = [
+        OutcomeSummary(1, 1, 1.0, 0.0, np.zeros(n), empty, empty, empty, empty, empty)
+        for n in range(5)
+    ]
+    keys = [f"key-{i}" for i in range(16)]
+    cache = OutcomeCache(max_memory_entries=8)
+
+    def hammer(seed):
+        for step in range(2000):
+            cache.put(keys[(seed + step) % 16], sizes[(seed * step) % 5])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    held = [summary for summary in map(cache.get, keys) if summary is not None]
+    assert len(held) == 8
+    assert cache.stats["memory_bytes"] == sum(summary.nbytes for summary in held)
+
+
 # ---------------------------------------------------------------------------
 # Engine
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+@pytest.mark.parametrize("intervals", [(0.064,), (0.512, 16.0), (1.0, 64.0)])
+def test_engine_summaries_sized_to_intervals(intervals, cached):
+    """Every summary answers exactly up to the longest interval asked,
+    and never below the time-to-first search."""
+    engine = CharacterizationEngine(
+        scale=QUICK_SCALE, cache=OutcomeCache() if cached else None
+    )
+    units = plan_units(("S0", "HBM0"), WORST_CASE, QUICK_SCALE)
+    summaries = engine.compute_summaries(units, intervals)
+    assert {s.horizon for s in summaries} == {max(SEARCH_INTERVAL, *intervals)}
+
+
+class CountingCache(OutcomeCache):
+    """An `OutcomeCache` that counts its puts."""
+
+    puts = 0
+
+    def put(self, key, summary):
+        self.puts += 1
+        super().put(key, summary)
+
+
+def test_engine_cache_entries_grow_once_per_longer_interval():
+    cache = CountingCache()
+    engine = CharacterizationEngine(scale=QUICK_SCALE, cache=cache)
+    units = plan_units(("S0",), WORST_CASE, QUICK_SCALE)
+    n = len(units)
+    engine.compute_summaries(units, (0.512,))
+    assert (cache.puts, cache.misses, len(cache)) == (n, n, n)
+    # A longer interval misses every short entry once and replaces it.
+    engine.compute_summaries(units, (16.0,))
+    assert (cache.puts, cache.misses, len(cache)) == (2 * n, 2 * n, n)
+    held = [cache.get(engine.unit_key(unit)) for unit in units]
+    assert {summary.horizon for summary in held} == {16.0}
+    # A shorter interval is answered by the grown entries.
+    before = cache.stats
+    records = engine.characterize_module("S0", WORST_CASE, (1.0,))
+    after = cache.stats
+    assert cache.puts == 2 * n
+    assert after["hits"] - before["hits"] == n
+    assert after["misses"] == before["misses"]
+    assert after["disk_hits"] == 0
+    fresh = CharacterizationEngine(scale=QUICK_SCALE)
+    assert records == fresh.characterize_module("S0", WORST_CASE, (1.0,))
+
+
+def test_engine_reads_128s_disk_entries(tmp_path):
+    """Disk entries written at the old 128 s engine horizon stay valid and
+    answer shorter passes without a recompute."""
+    units = plan_units(("S0",), WORST_CASE, QUICK_SCALE)
+    seed = OutcomeCache(tmp_path)
+    for unit in units:
+        seed.put(unit.cache_key(), execute_unit(unit, horizon=DEFAULT_ENGINE_HORIZON))
+    cache = CountingCache(tmp_path)
+    engine = CharacterizationEngine(scale=QUICK_SCALE, cache=cache)
+    records = engine.characterize_module("S0", WORST_CASE, (0.512, 16.0))
+    assert cache.stats["disk_hits"] == cache.stats["lookups"] == len(units)
+    assert cache.puts == 0
+    fresh = CharacterizationEngine(scale=QUICK_SCALE)
+    assert records == fresh.characterize_module("S0", WORST_CASE, (0.512, 16.0))
+
 
 def test_engine_horizon_covers_requested_intervals():
     engine = CharacterizationEngine(scale=QUICK_SCALE, cache=OutcomeCache())
