@@ -12,14 +12,22 @@ Two tiers:
 * in-memory — always on; shares summaries within one process (e.g. across
   figure benches in one pytest run).  Optionally LRU-bounded
   (``max_memory_entries``) so multi-day campaigns cannot grow without limit;
-* on-disk (optional) — one ``.npz`` file per key under a user-chosen
-  directory, so repeated campaign runs skip recomputation entirely.
+* on-disk (optional) — one ``<key>.outcome`` file per key under a
+  user-chosen directory, so repeated campaign runs skip recomputation
+  entirely.
+
+A disk entry is one framed binary record: a fixed little-endian header
+(magic, ``rows``, ``cells``, ``horizon``, ``time_to_first`` and the six
+array lengths), the six arrays as ``<f8`` in `OutcomeSummary` field order,
+then a CRC-32 of everything before it.  A load is one read into one buffer
+that the loaded arrays view, so a hit costs a checksum, not a parse.
 
 The disk tier is crash-safe: writes go to a unique temp file that is
 fsync'd before an atomic ``os.replace`` (a torn write can never surface as
 a valid-looking entry), stale temp files orphaned by a killed process are
-swept on ``__init__``, and a corrupt/truncated entry is quarantined (renamed
-to ``<key>.bad``) on first read instead of silently re-missing every run.
+swept on ``__init__``, and an entry whose frame or checksum does not hold
+is quarantined (renamed to ``<key>.bad``) on first read instead of
+silently re-missing every run.
 
 Keys are content hashes over every input that determines the outcome,
 including a fingerprint of the die profile's calibrated parameters — a
@@ -32,9 +40,10 @@ import dataclasses
 import hashlib
 import itertools
 import os
+import struct
 import threading
 import time
-import zipfile
+import zlib
 from collections import OrderedDict
 from pathlib import Path
 
@@ -91,7 +100,7 @@ _MEMORY_BYTES = obs.gauge(
 
 #: Bump when the summary layout or the outcome semantics change: old disk
 #: entries become unreachable instead of wrong.
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 #: Temp files older than this are presumed orphaned by a dead process and
 #: swept on init; younger ones may belong to a live concurrent writer.
@@ -106,10 +115,18 @@ _ARRAY_FIELDS = (
     "ret_row_times",
 )
 
-#: Everything np.load can raise on a truncated, torn, or foreign file.
-_CORRUPT_ENTRY_ERRORS = (
-    OSError, EOFError, KeyError, ValueError, IndexError, zipfile.BadZipFile,
-)
+#: Disk entries are ``<key>.outcome``; nothing else in the directory is read.
+_ENTRY_SUFFIX = ".outcome"
+
+#: Entry header: magic, rows, cells, horizon, time_to_first, then the
+#: length of each `_ARRAY_FIELDS` array, all little-endian.
+_HEADER = struct.Struct(f"<8sqqdd{len(_ARRAY_FIELDS)}q")
+_MAGIC = b"OUTCOME" + bytes([CACHE_FORMAT_VERSION])
+_CRC = struct.Struct("<I")
+_F8 = np.dtype("<f8")
+
+#: Everything reading or decoding a short, torn, or foreign entry raises.
+_CORRUPT_ENTRY_ERRORS = (OSError, ValueError)
 
 #: Disambiguates temp files written by threads sharing one pid.
 _TMP_SEQUENCE = itertools.count()
@@ -188,7 +205,9 @@ class OutcomeCache:
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
             self._sweep_tmp(tmp_sweep_age_s)
-            self.disk_entries = sum(1 for _ in self.directory.glob("*.npz"))
+            self.disk_entries = sum(
+                1 for _ in self.directory.glob(f"*{_ENTRY_SUFFIX}")
+            )
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -291,20 +310,28 @@ class OutcomeCache:
     # Disk tier
     # ------------------------------------------------------------------
     def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.npz"
+        return self.directory / f"{key}{_ENTRY_SUFFIX}"
 
     def _save(self, key: str, summary: OutcomeSummary) -> None:
-        arrays = {name: getattr(summary, name) for name in _ARRAY_FIELDS}
-        scalars = np.array(
-            [summary.rows, summary.cells, summary.horizon, summary.time_to_first],
-            dtype=np.float64,
+        arrays = [
+            np.ascontiguousarray(getattr(summary, name), dtype=_F8)
+            for name in _ARRAY_FIELDS
+        ]
+        header = _HEADER.pack(
+            _MAGIC, summary.rows, summary.cells, summary.horizon,
+            summary.time_to_first, *(array.size for array in arrays),
         )
         path = self._path(key)
         tmp = path.parent / (
             f"{path.name}.tmp{os.getpid()}-{next(_TMP_SEQUENCE)}"
         )
         with open(tmp, "wb") as handle:
-            np.savez(handle, scalars=scalars, **arrays)
+            handle.write(header)
+            crc = zlib.crc32(header)
+            for array in arrays:
+                handle.write(array)
+                crc = zlib.crc32(array, crc)
+            handle.write(_CRC.pack(crc))
             handle.flush()
             os.fsync(handle.fileno())
         existed = path.exists()
@@ -314,18 +341,14 @@ class OutcomeCache:
 
     def _load(self, key: str) -> OutcomeSummary | None:
         path = self._path(key)
-        if not path.exists():
-            return None
         try:
-            with np.load(path) as data:
-                scalars = data["scalars"]
-                return OutcomeSummary(
-                    rows=int(scalars[0]),
-                    cells=int(scalars[1]),
-                    horizon=float(scalars[2]),
-                    time_to_first=float(scalars[3]),
-                    **{name: data[name] for name in _ARRAY_FIELDS},
-                )
+            with open(path, "rb", buffering=0) as handle:
+                record = bytearray(os.fstat(handle.fileno()).st_size)
+                if handle.readinto(record) != len(record):
+                    raise ValueError("short read")
+            return _decode(record)
+        except FileNotFoundError:
+            return None
         except _CORRUPT_ENTRY_ERRORS:
             self._quarantine(path)
             return None
@@ -352,3 +375,37 @@ class OutcomeCache:
             except OSError:
                 # Concurrent sweep or a live writer finishing: fine.
                 pass
+
+
+def _decode(record: bytearray) -> OutcomeSummary:
+    """Check one disk entry's frame and checksum and view its arrays.
+
+    The arrays are writable views of ``record``; raises ``ValueError`` if
+    the entry is not exactly one intact record.
+    """
+    if len(record) < _HEADER.size + _CRC.size:
+        raise ValueError("entry shorter than its frame")
+    magic, rows, cells, horizon, time_to_first, *lengths = _HEADER.unpack_from(
+        record
+    )
+    if magic != _MAGIC:
+        raise ValueError("not an outcome entry")
+    if min(lengths) < 0:
+        raise ValueError("negative array length")
+    end = _HEADER.size + _F8.itemsize * sum(lengths)
+    if end + _CRC.size != len(record):
+        raise ValueError("entry size does not match its header")
+    if zlib.crc32(memoryview(record)[:end]) != _CRC.unpack_from(record, end)[0]:
+        raise ValueError("checksum mismatch")
+    arrays = {}
+    offset = _HEADER.size
+    for name, length in zip(_ARRAY_FIELDS, lengths):
+        arrays[name] = np.frombuffer(record, _F8, length, offset)
+        offset += _F8.itemsize * length
+    return OutcomeSummary(
+        rows=rows,
+        cells=cells,
+        horizon=horizon,
+        time_to_first=time_to_first,
+        **arrays,
+    )

@@ -7,6 +7,10 @@ rerun or a resumed run recomputes nothing it already has on disk), folds
 the per-interval flip rates into a `FleetAggregator`, and periodically
 persists aggregator state + resume cursor through a `CheckpointStore`.
 
+Each chunk's cache lookups run on the calling thread and only the misses
+go to the thread pool: a hit is a short, GIL-bound read, so handing it to
+a pool thread costs more than answering it.
+
 Interrupt semantics (the CLI contract): a `KeyboardInterrupt` during
 the campaign cancels outstanding work without waiting for the thread
 pool, flushes a checkpoint at the last completed chunk boundary, and
@@ -29,7 +33,7 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.chip.cells import CellPopulation
-from repro.core.analytic import SubarrayRole, disturb_outcome
+from repro.core.analytic import OutcomeSummary, SubarrayRole, disturb_outcome
 from repro.core.cache import OutcomeCache
 from repro.fleet.aggregate import CheckpointStore, FleetAggregator
 from repro.fleet.scenario import FleetSpec, ModuleInstance
@@ -175,27 +179,32 @@ class FleetCampaign:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _rates(self, instance: ModuleInstance) -> tuple[list[float], bool]:
-        """One instance's per-interval flip rates (+ cache-hit flag)."""
-        horizon = self.spec.horizon
-        summary = None
-        key = None
-        if self.cache is not None:
-            key = instance.cache_key()
-            summary = self.cache.get(key, min_horizon=horizon)
-        hit = summary is not None
-        if summary is None:
-            summary = characterize_instance(instance, horizon)
-            if self.cache is not None and key is not None:
-                self.cache.put(key, summary)
+    def _lookup(
+        self, instance: ModuleInstance
+    ) -> tuple[str | None, OutcomeSummary | None]:
+        """One instance's cache key and cached summary (``None`` on a miss);
+        ``(None, None)`` without a cache."""
+        if self.cache is None:
+            return None, None
+        key = instance.cache_key()
+        return key, self.cache.get(key, min_horizon=self.spec.horizon)
+
+    def _characterize(self, instance: ModuleInstance, key: str | None) -> OutcomeSummary:
+        """Compute one missed instance and store it under ``key``."""
+        summary = characterize_instance(instance, self.spec.horizon)
+        if key is not None:
+            self.cache.put(key, summary)
+        return summary
+
+    def _rates(self, summary: OutcomeSummary) -> list[float]:
+        """One instance's per-interval flip rates."""
         # Topology dilution: an attacker interleaved over channels*ranks
         # devices exposes each column for 1/dilution of every interval.
         dilution = self.spec.topology_dilution
-        rates = [
+        return [
             summary.flip_count(interval / dilution) / summary.cells
             for interval in self.spec.intervals
         ]
-        return rates, hit
 
     def _checkpoint(self, store: CheckpointStore) -> None:
         with self._lock:
@@ -261,24 +270,29 @@ class FleetCampaign:
                     lo = self._next_index
                     hi = min(lo + self.chunk, end)
                     instances = [self.spec.instance(i) for i in range(lo, hi)]
-                    if executor is None:
-                        results = [self._rates(inst) for inst in instances]
-                    else:
-                        # map() preserves submission order; result order is
-                        # what keeps the aggregate an exact index prefix.
-                        results = list(executor.map(self._rates, instances))
+                    found = [self._lookup(inst) for inst in instances]
+                    summaries = [summary for _, summary in found]
+                    missed = [i for i, summary in enumerate(summaries) if summary is None]
+                    compute = map if executor is None else executor.map
+                    # map() preserves submission order; result order is what
+                    # keeps the aggregate an exact index prefix.
+                    computed = compute(
+                        self._characterize,
+                        [instances[i] for i in missed],
+                        [found[i][0] for i in missed],
+                    )
+                    for i, summary in zip(missed, computed):
+                        summaries[i] = summary
+                    rates = [self._rates(summary) for summary in summaries]
                     with self._lock:
-                        for rates, hit in results:
-                            self._aggregator.add(rates)
+                        for instance_rates in rates:
+                            self._aggregator.add(instance_rates)
                         self._next_index = hi
-                    hits += sum(1 for _, hit in results if hit)
-                    misses += sum(1 for _, hit in results if not hit)
-                    _MODULES.labels(source="cache").inc(
-                        sum(1 for _, hit in results if hit)
-                    )
-                    _MODULES.labels(source="computed").inc(
-                        sum(1 for _, hit in results if not hit)
-                    )
+                    chunk_hits = len(instances) - len(missed)
+                    hits += chunk_hits
+                    misses += len(missed)
+                    _MODULES.labels(source="cache").inc(chunk_hits)
+                    _MODULES.labels(source="computed").inc(len(missed))
                     _PROGRESS.set((hi - self.spec.offset) / self.spec.modules)
                     since_checkpoint += hi - lo
                     if store and since_checkpoint >= self.checkpoint_every:

@@ -9,6 +9,7 @@ key converge, and the stats counters stay mutually consistent.
 
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +35,11 @@ def summary(unit):
     return execute_unit(unit, horizon=32.0)
 
 
+def _entry_path(directory, key: str) -> Path:
+    """Where an `OutcomeCache` on ``directory`` keeps ``key``'s entry."""
+    return OutcomeCache(directory)._path(key)
+
+
 # ---------------------------------------------------------------------------
 # Corrupt entries
 # ---------------------------------------------------------------------------
@@ -43,12 +49,12 @@ def test_corrupt_entry_is_quarantined_not_remissed(tmp_path, unit, summary):
     key = unit.cache_key()
     cache.put(key, summary)
     # Simulate a torn write that survived as a valid-looking file.
-    (tmp_path / f"{key}.npz").write_bytes(b"PK\x03\x04 truncated garbage")
+    cache._path(key).write_bytes(b"PK\x03\x04 truncated garbage")
 
     fresh = OutcomeCache(tmp_path)
     assert fresh.get(key) is None
     assert fresh.quarantined == 1
-    assert not (tmp_path / f"{key}.npz").exists()
+    assert not cache._path(key).exists()
     assert (tmp_path / f"{key}.bad").exists()
     # The quarantined entry never comes back: the next lookup is a clean
     # miss (no file), not another quarantine.
@@ -60,7 +66,7 @@ def test_truncated_npz_is_miss_and_quarantined(tmp_path, unit, summary):
     cache = OutcomeCache(tmp_path)
     key = unit.cache_key()
     cache.put(key, summary)
-    path = tmp_path / f"{key}.npz"
+    path = cache._path(key)
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
 
     fresh = OutcomeCache(tmp_path)
@@ -76,7 +82,7 @@ def test_truncated_npz_is_miss_and_quarantined(tmp_path, unit, summary):
 # ---------------------------------------------------------------------------
 
 def test_stale_tmp_files_swept_on_init(tmp_path):
-    stale = tmp_path / "deadbeef.npz.tmp12345-0"
+    stale = Path(f"{_entry_path(tmp_path, 'deadbeef')}.tmp12345-0")
     stale.write_bytes(b"half-written")
     old = time.time() - 7200
     os.utime(stale, (old, old))
@@ -88,7 +94,7 @@ def test_stale_tmp_files_swept_on_init(tmp_path):
 
 def test_fresh_tmp_files_survive_init_sweep(tmp_path):
     """A young temp file may belong to a live concurrent writer."""
-    fresh = tmp_path / "cafebabe.npz.tmp99999-3"
+    fresh = Path(f"{_entry_path(tmp_path, 'cafebabe')}.tmp99999-3")
     fresh.write_bytes(b"in flight")
 
     cache = OutcomeCache(tmp_path)
@@ -97,7 +103,7 @@ def test_fresh_tmp_files_survive_init_sweep(tmp_path):
 
 
 def test_sweep_age_is_configurable(tmp_path):
-    orphan = tmp_path / "feedface.npz.tmp1-1"
+    orphan = Path(f"{_entry_path(tmp_path, 'feedface')}.tmp1-1")
     orphan.write_bytes(b"orphan")
     cache = OutcomeCache(tmp_path, tmp_sweep_age_s=0.0)
     assert not orphan.exists()
@@ -108,7 +114,8 @@ def test_save_leaves_no_tmp_behind(tmp_path, unit, summary):
     cache = OutcomeCache(tmp_path)
     cache.put(unit.cache_key(), summary)
     assert list(tmp_path.glob("*.tmp*")) == []
-    assert len(list(tmp_path.glob("*.npz"))) == 1
+    suffix = cache._path(unit.cache_key()).suffix
+    assert len(list(tmp_path.glob(f"*{suffix}"))) == 1
 
 
 # ---------------------------------------------------------------------------

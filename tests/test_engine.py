@@ -165,7 +165,7 @@ def test_cache_insufficient_horizon_is_miss(tmp_path):
 
 def test_cache_ignores_corrupt_files(tmp_path):
     cache = OutcomeCache(tmp_path)
-    (tmp_path / "deadbeef.npz").write_bytes(b"not an npz archive")
+    cache._path("deadbeef").write_bytes(b"not an npz archive")
     assert cache.get("deadbeef", min_horizon=0.0) is None
 
 

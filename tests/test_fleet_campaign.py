@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import shutil
 import signal
 import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,7 @@ import pytest
 from repro.chip.timing import T_AGG_ON_DEFAULT
 from repro.fleet import FleetCampaign, FleetSpec
 from repro.fleet.aggregate import CheckpointStore
+from repro.fleet.campaign import characterize_instance
 from repro.fleet.scenario import MIXED_POOL, scenario_config
 
 #: Small geometry so every campaign in this file runs in milliseconds.
@@ -250,6 +253,62 @@ def test_cache_makes_reruns_hits_without_changing_state(tmp_path):
     assert first.cache_misses == spec.modules and first.cache_hits == 0
     assert second.cache_hits == spec.modules and second.cache_misses == 0
     assert _state_json(cold) == _state_json(warm)
+
+
+@pytest.mark.parametrize("chunk", [5, 7])
+@pytest.mark.parametrize("workers", [0, 2, 3])
+def test_partly_cached_range_matches_cache_free_run(tmp_path, workers, chunk):
+    from repro.core import OutcomeCache
+
+    spec = FleetSpec(**SPEC_KWARGS)
+    reference = FleetCampaign(spec=spec)
+    reference.run()
+    seeded = tmp_path / "seeded"
+    cached = random.Random(f"half-{workers}-{chunk}").sample(
+        range(spec.offset, spec.offset + spec.modules), spec.modules // 2
+    )
+    seeder = OutcomeCache(str(seeded))
+    for index in cached:
+        instance = spec.instance(index)
+        seeder.put(instance.cache_key(), characterize_instance(instance, spec.horizon))
+
+    cache = OutcomeCache(str(seeded))
+    campaign = FleetCampaign(spec=spec, cache=cache, workers=workers, chunk=chunk)
+    result = campaign.run()
+    assert _state_json(campaign) == _state_json(reference)
+    assert result.cache_hits == len(cached)
+    assert result.cache_misses == spec.modules - len(cached)
+    assert cache.stats["disk_hits"] == len(cached)
+    assert cache.stats["disk_entries"] == spec.modules
+
+
+def test_all_hit_pass_submits_no_pool_task(tmp_path, monkeypatch):
+    from repro.core import OutcomeCache
+    from repro.fleet import campaign as campaign_module
+
+    spec = FleetSpec(**SPEC_KWARGS)
+    cold = FleetCampaign(spec=spec, cache=OutcomeCache(str(tmp_path)), workers=2)
+    cold.run()
+
+    calls = {"characterize": 0, "submit": 0}
+    characterize = campaign_module.characterize_instance
+    submit = ThreadPoolExecutor.submit
+
+    def counting_characterize(*args, **kwargs):
+        calls["characterize"] += 1
+        return characterize(*args, **kwargs)
+
+    def counting_submit(self, *args, **kwargs):
+        calls["submit"] += 1
+        return submit(self, *args, **kwargs)
+
+    monkeypatch.setattr(campaign_module, "characterize_instance", counting_characterize)
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", counting_submit)
+    warm = FleetCampaign(spec=spec, cache=OutcomeCache(str(tmp_path)), workers=2)
+    result = warm.run()
+    assert calls == {"characterize": 0, "submit": 0}
+    assert result.cache_hits == spec.modules and result.cache_misses == 0
+    assert _state_json(warm) == _state_json(cold)
 
 
 # ---------------------------------------------------------------------------
