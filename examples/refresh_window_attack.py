@@ -15,10 +15,16 @@ from __future__ import annotations
 
 from repro.analysis import seconds, table
 from repro.chip import BankGeometry, SimulatedModule, ddr4_modules
-from repro.core import find_worst_case, project_scaling, refresh_window_risk
+from repro.core import (
+    CampaignScale,
+    find_worst_case,
+    project_scaling,
+    refresh_window_risk,
+)
 from repro.refresh import columndisturb_safe_period, compare_mitigations
 
 GEOMETRY = BankGeometry(subarrays=4, rows_per_subarray=256, columns=512)
+SCALE = CampaignScale(GEOMETRY)
 
 
 def main() -> None:
@@ -29,8 +35,7 @@ def main() -> None:
         if die in seen:
             continue
         seen.add(die)
-        module = SimulatedModule(spec, geometry=GEOMETRY)
-        risk = refresh_window_risk(module, window=0.064)
+        risk = refresh_window_risk(spec.serial, SCALE, window=0.064)
         rows.append([
             f"{spec.manufacturer} {spec.die_label}",
             seconds(spec.profile.first_flip_floor(85.0)),

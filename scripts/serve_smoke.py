@@ -2,9 +2,12 @@
 
 Starts ``repro serve`` as a real subprocess on an ephemeral port, fires
 concurrent duplicate requests with the bundled client, and asserts the
-three things the serving layer promises:
+things the serving layer promises:
 
 * every request answers 200 with identical payloads;
+* two concurrent ``/v1/risk`` requests on a bank whose row count is not a
+  power of two (M8, an XOR-mapped module, at 3 x 128 x 256) answer 200
+  with identical payloads equal to the in-process ``refresh_window_risk``;
 * ``serve_coalesced_total`` on ``/metrics`` is nonzero (duplicates
   attached to one in-flight computation rather than recomputing);
 * SIGTERM drains cleanly — exit code 0 and the drain banner on stderr.
@@ -38,11 +41,44 @@ REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 REQUEST = {"serial": "S0", "subarrays": 2, "rows": 64, "columns": 128,
            "intervals": [0.512, 16.0]}
 CLIENTS = 6
+RISK_REQUEST = {"serial": "M8", "subarrays": 3, "rows": 128, "columns": 256}
+RISK_CLIENTS = 2
 
 
 def fail(reason: str) -> NoReturn:
     print(f"serve_smoke: FAIL: {reason}", file=sys.stderr)
     sys.exit(1)
+
+
+def concurrent_calls(port: int, count: int, call) -> list:
+    """Run ``call(client)`` from ``count`` clients released together;
+    fails the smoke if any call raises or does not complete."""
+    from repro.serve import ServeClient
+
+    results: list = [None] * count
+    errors: list = []
+    barrier = threading.Barrier(count)
+
+    def hit(index: int) -> None:
+        with ServeClient(port=port) as client:
+            barrier.wait()
+            try:
+                results[index] = call(client)
+            except Exception as exc:
+                errors.append(exc)
+
+    threads = [threading.Thread(target=hit, args=(i,)) for i in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    if errors:
+        fail(f"a concurrent request failed: {errors[0]}")
+    if any(result is None for result in results):
+        fail("a concurrent request did not complete")
+    if any(result != results[0] for result in results):
+        fail("concurrent duplicate requests returned different payloads")
+    return results
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -55,7 +91,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
-    from repro.serve import ServeClient
+    from repro.core import refresh_window_risk
+    from repro.serve import RiskRequest, ServeClient
+    from repro.serve.protocol import risk_to_json
 
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -88,29 +126,28 @@ def main(argv: list[str] | None = None) -> int:
             else "server"
         print(f"serve_smoke: {role} up on port {port}")
 
-        results: list = [None] * CLIENTS
-        barrier = threading.Barrier(CLIENTS)
-
-        def hit(index: int) -> None:
-            with ServeClient(port=port) as client:
-                barrier.wait()
-                results[index] = client.characterize(REQUEST)
-
-        threads = [threading.Thread(target=hit, args=(i,))
-                   for i in range(CLIENTS)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-        if any(result is None for result in results):
-            fail("a concurrent request did not complete")
-        if any(result != results[0] for result in results):
-            fail("concurrent duplicate requests returned different payloads")
+        results = concurrent_calls(
+            port, CLIENTS, lambda client: client.characterize(REQUEST)
+        )
         if len(results[0]["records"]) != REQUEST["subarrays"]:
             fail(f"expected {REQUEST['subarrays']} records, "
                  f"got {len(results[0]['records'])}")
         print(f"serve_smoke: {CLIENTS} duplicate requests OK, "
               "identical payloads")
+
+        risks = concurrent_calls(
+            port, RISK_CLIENTS, lambda client: client.risk(RISK_REQUEST)
+        )
+        risk_request = RiskRequest.from_json(RISK_REQUEST)
+        expected = risk_to_json(refresh_window_risk(
+            risk_request.serial, risk_request.scale,
+            window=risk_request.window_ms / 1000.0,
+            temperature_c=risk_request.temperature_c,
+        ))
+        if risks[0] != expected:
+            fail(f"served risk {risks[0]} differs from in-process {expected}")
+        print(f"serve_smoke: {RISK_CLIENTS} concurrent risk requests OK, "
+              "equal to the in-process result")
 
         traced_request_id = None
         if args.fleet:

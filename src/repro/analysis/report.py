@@ -54,7 +54,8 @@ def module_datasheet(
     ]
 
     # --- characterization ----------------------------------------------
-    campaign = Campaign(scale=CampaignScale(geometry))
+    scale = CampaignScale(geometry)
+    campaign = Campaign(scale=scale)
     records = campaign.characterize_module(
         serial, WORST_CASE, intervals=(0.512, 16.0)
     )
@@ -84,7 +85,7 @@ def module_datasheet(
     lines.append("")
 
     # --- refresh-window risk --------------------------------------------
-    risk = refresh_window_risk(module, window=0.064)
+    risk = refresh_window_risk(serial, scale, window=0.064)
     lines += ["## Refresh-window risk (64 ms, nominal conditions)", ""]
     if risk.at_risk:
         lines.append(

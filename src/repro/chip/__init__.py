@@ -31,7 +31,6 @@ from repro.chip.geometry import (
 )
 from repro.chip.kernels import (
     DEFAULT_KERNEL,
-    KERNEL_ENV,
     KERNELS,
     BankKernel,
     BatchedKernel,
@@ -81,7 +80,6 @@ __all__ = [
     "BankGeometry",
     "VariableBankGeometry",
     "DEFAULT_KERNEL",
-    "KERNEL_ENV",
     "KERNELS",
     "BankKernel",
     "BatchedKernel",

@@ -30,9 +30,8 @@ row is tracked in a separate per-row hammer ledger and evaluated with
 
 How the per-row work is scheduled — one Python pass per row, or flat-array
 batches — is a pluggable execution kernel (`repro.chip.kernels`): pass
-``kernel="batched"`` (the default) or ``kernel="reference"``, or set the
-``REPRO_KERNEL`` environment variable.  Both kernels are bit-identical;
-the reference kernel is the parity oracle.
+``kernel="batched"`` (the default) or ``kernel="reference"``.  Both
+kernels are bit-identical; the reference kernel is the parity oracle.
 
 Addresses at this layer are PHYSICAL row addresses; logical translation
 lives in `repro.chip.module` / the bender.
@@ -89,8 +88,8 @@ class SimulatedBank:
         timing: DRAM timing parameters (tRAS/tRP bounds for activations).
         temperature_c: initial device temperature.
         kernel: hot-path execution kernel — ``"batched"`` (default) or
-            ``"reference"``, a `BankKernel` instance, or ``None`` to
-            resolve via the ``REPRO_KERNEL`` environment variable.
+            ``"reference"``, a `BankKernel` instance, or ``None`` for the
+            default.
     """
 
     def __init__(

@@ -31,17 +31,15 @@ suites (``tests/test_kernels_parity.py``, ``tests/test_kernels_property.py``)
 enforce this for hammer, press, mixed-pattern, refresh-heavy, and
 VRT-jittered programs.
 
-Selection: ``SimulatedBank(kernel="batched"|"reference")``, the
-``REPRO_KERNEL`` environment variable, ``SimulatedModule(kernel=...)``,
-``Campaign(kernel=...)``, or ``--kernel`` on the CLI.  The default is
-``batched``.  This layer is where future backends (GPU, multi-bank
-batching) plug in: implement the four hot-path operations and register
-the class in :data:`KERNEL_CLASSES`.
+Selection: ``SimulatedBank(kernel=...)`` or ``SimulatedModule(kernel=...)``
+takes ``"batched"`` (the default) or ``"reference"``; only the parity
+suites and the kernel perf gate pass ``"reference"``.  This layer is where
+future backends (GPU, multi-bank batching) plug in: implement the four
+hot-path operations and register the class in :data:`KERNEL_CLASSES`.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
@@ -56,10 +54,7 @@ from repro.physics.rowhammer import neighbour_flip_mask, neighbour_flip_masks
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (bank -> kernels)
     from repro.chip.bank import SimulatedBank
 
-#: Environment variable consulted when no kernel is passed explicitly.
-KERNEL_ENV = "REPRO_KERNEL"
-
-#: Kernel used when neither the argument nor the environment selects one.
+#: Kernel used when none is passed explicitly.
 DEFAULT_KERNEL = "batched"
 
 #: Activation batches at or below this many rows take the fused scalar
@@ -517,10 +512,10 @@ KERNELS: tuple[str, ...] = tuple(KERNEL_CLASSES)
 
 
 def resolve_kernel(name: str | None = None) -> str:
-    """Resolve a kernel name: explicit argument, else ``REPRO_KERNEL``,
-    else :data:`DEFAULT_KERNEL`.  Raises ``ValueError`` for unknown names."""
+    """Resolve a kernel name: the explicit argument, else
+    :data:`DEFAULT_KERNEL`.  Raises ``ValueError`` for unknown names."""
     if name is None:
-        name = os.environ.get(KERNEL_ENV) or DEFAULT_KERNEL
+        name = DEFAULT_KERNEL
     if name not in KERNEL_CLASSES:
         raise ValueError(
             f"unknown kernel {name!r}; expected one of {sorted(KERNEL_CLASSES)}"
@@ -530,7 +525,7 @@ def resolve_kernel(name: str | None = None) -> str:
 
 def make_kernel(kernel: "str | BankKernel | None" = None) -> BankKernel:
     """Instantiate a kernel from a name, an instance (passed through), or
-    ``None`` (resolve via the environment / default)."""
+    ``None`` (the default kernel)."""
     if isinstance(kernel, BankKernel):
         return kernel
     return KERNEL_CLASSES[resolve_kernel(kernel)]()

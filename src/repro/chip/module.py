@@ -80,7 +80,7 @@ class SimulatedModule:
         sim_banks: banks per instantiated chip.
         temperature_c: initial temperature of all banks.
         kernel: hot-path execution kernel for every bank (see
-            `repro.chip.kernels`); ``None`` resolves via ``REPRO_KERNEL``.
+            `repro.chip.kernels`); ``None`` selects the default.
     """
 
     def __init__(

@@ -23,9 +23,8 @@ from repro import obs
 from repro._util.units import format_seconds
 from repro.analysis import DistributionSummary, seconds, table
 from repro.chip import (
-    BankGeometry,
     CATALOG,
-    KERNELS,
+    BankGeometry,
     SimulatedModule,
     get_module,
 )
@@ -37,8 +36,6 @@ from repro.core import (
 )
 from repro.fleet.scenario import SCENARIO_NAMES
 from repro.refresh import columndisturb_safe_period, compare_mitigations
-
-_CLI_GEOMETRY = BankGeometry(subarrays=4, rows_per_subarray=256, columns=512)
 
 
 def _add_observability_args(
@@ -63,15 +60,6 @@ def _add_observability_args(
         "--metrics-port", type=int, default=None, metavar="PORT",
         help="enable observability and serve live /metrics on PORT while "
              "the command runs (0 picks a free port)",
-    )
-
-
-def _add_kernel_arg(parser: argparse.ArgumentParser) -> None:
-    """Shared ``--kernel`` flag for commands that run simulated banks."""
-    parser.add_argument(
-        "--kernel", choices=KERNELS, default=None,
-        help="bank hot-path execution kernel (default: $REPRO_KERNEL "
-             "or 'batched'); both kernels are bit-identical",
     )
 
 
@@ -106,15 +94,22 @@ def _cmd_floor(args: argparse.Namespace) -> str:
 
 
 def _cmd_risk(args: argparse.Namespace) -> str:
-    spec = get_module(args.serial)
-    module = SimulatedModule(spec, geometry=_CLI_GEOMETRY, kernel=args.kernel)
-    module.set_temperature(args.temperature)
+    from repro.serve.protocol import RiskRequest
+
+    # The served request's bounds and default geometry, so `repro risk`
+    # and `POST /v1/risk` answer (or refuse) the same questions.
+    request = RiskRequest.from_json({
+        "serial": args.serial,
+        "window_ms": args.window,
+        "temperature_c": args.temperature,
+    })
     risk = refresh_window_risk(
-        module, window=args.window / 1000.0, temperature_c=args.temperature
+        request.serial, request.scale,
+        window=request.window_ms / 1000.0, temperature_c=request.temperature_c,
     )
     lines = [
-        f"{spec.serial} @ {args.temperature:.0f}C, "
-        f"{args.window:.0f} ms window:",
+        f"{request.serial} @ {request.temperature_c:.0f}C, "
+        f"{request.window_ms:.0f} ms window:",
         f"  at risk: {'YES' if risk.at_risk else 'no'}",
         f"  vulnerable cells: {risk.vulnerable_cells} in "
         f"{risk.vulnerable_rows} rows",
@@ -146,7 +141,6 @@ def _cmd_characterize(args: argparse.Namespace) -> str:
         timeout=args.timeout,
         failure_policy=args.failure_policy,
         trace=trace,
-        kernel=args.kernel,
     )
     try:
         records = campaign.characterize_module(
@@ -203,7 +197,7 @@ def _cmd_run_program(args: argparse.Namespace) -> str:
         subarrays=args.subarrays, rows_per_subarray=args.rows,
         columns=args.columns,
     )
-    module = SimulatedModule(spec, geometry=geometry, kernel=args.kernel)
+    module = SimulatedModule(spec, geometry=geometry)
     module.set_temperature(args.temperature)
     program = parse_program(Path(args.program).read_text(), name=args.program)
     result = DramBender(module).execute(program)
@@ -407,7 +401,6 @@ def _cmd_serve(args: argparse.Namespace) -> str:
                 cache_dir=args.cache_dir,
                 max_queue=args.max_queue,
                 batch_window_ms=args.batch_window_ms,
-                kernel=args.kernel,
                 max_inflight=args.fleet_max_inflight,
                 trace_dir=args.trace_dir,
                 slow_trace_ms=args.slow_trace_ms,
@@ -425,7 +418,6 @@ def _cmd_serve(args: argparse.Namespace) -> str:
             cache_dir=args.cache_dir,
             max_queue=args.max_queue,
             batch_window_ms=args.batch_window_ms,
-            kernel=args.kernel,
             trace_dir=args.trace_dir,
             slow_trace_ms=args.slow_trace_ms,
         )
@@ -740,7 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
     risk.add_argument("--window", type=float, default=64.0,
                       help="refresh window in ms")
     risk.add_argument("--temperature", type=float, default=85.0)
-    _add_kernel_arg(risk)
     _add_observability_args(risk)
 
     character = sub.add_parser(
@@ -758,7 +749,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache", default=None, metavar="DIR",
         help="on-disk outcome cache directory (reused across runs)",
     )
-    _add_kernel_arg(character)
     _add_observability_args(
         character,
         trace_help="write per-unit run telemetry as JSONL and print a summary",
@@ -800,7 +790,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_program.add_argument("--rows", type=int, default=256)
     run_program.add_argument("--columns", type=int, default=512)
     run_program.add_argument("--temperature", type=float, default=85.0)
-    _add_kernel_arg(run_program)
     _add_observability_args(run_program)
 
     serve = sub.add_parser(
@@ -847,7 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--slow-trace-ms", type=float, default=1000.0, metavar="MS",
         help="latency threshold for --trace-dir capture (default 1000)",
     )
-    _add_kernel_arg(serve)
 
     fleet_risk = sub.add_parser(
         "fleet-risk",

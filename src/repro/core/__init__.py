@@ -30,7 +30,6 @@ from repro.core.campaign import (
     STANDARD_SCALE,
     Campaign,
     CampaignScale,
-    ModulePool,
     SubarrayRecord,
 )
 from repro.core.cd_profiler import WeakRowProfile, profile_weak_rows
@@ -104,7 +103,6 @@ __all__ = [
     "STANDARD_SCALE",
     "Campaign",
     "CampaignScale",
-    "ModulePool",
     "SubarrayRecord",
     "AGGRESSOR_LOCATIONS",
     "REFRESH_INTERVALS_LONG",

@@ -1,20 +1,23 @@
 """Parallel characterization engine: work units, sharding, and caching.
 
-`Campaign.characterize_modules` walks modules x chips x banks x subarrays
-serially.  This module decomposes that walk into self-describing
-:class:`WorkUnit` values — ``(serial, chip, bank, subarray, config,
-geometry)`` — and executes them on a ``ThreadPoolExecutor``.  The per-unit
-work is NumPy that releases the GIL, so pool threads overlap real work while
-sharing the outcome cache and the obs registry directly.  Because cell
-populations are *deterministic functions of their key* (see
-`repro.chip.cells`), a unit re-derives its subarray's silicon from the unit
-alone and returns a compact `OutcomeSummary` of weak-cell event times.
+A campaign covers modules x chips x banks x subarrays.  This module
+decomposes it into self-describing :class:`WorkUnit` values — ``(serial,
+chip, bank, subarray, config, geometry)`` — and executes them on a
+``ThreadPoolExecutor``.  The per-unit work is NumPy that releases the GIL,
+so pool threads overlap real work while sharing the outcome cache and the
+obs registry directly.  Because cell populations are *deterministic
+functions of their key* (see `repro.chip.cells`), a unit re-derives its
+subarray's silicon from the unit alone and returns a compact
+`OutcomeSummary` of weak-cell event times.
+
+Work units are the only way an analytic characterization reaches a cell
+population: `Campaign` runs this engine, and `repro.core.risk` walks the
+same units through `unit_outcome`.
 
 Determinism guarantee: the record list is assembled in plan order (serial ->
-chip -> bank -> subarray, exactly the serial loop's order) and each summary
-is a pure function of its unit, so results are bit-identical for any
-``workers`` count, with or without a cache, and for any retry/timeout
-setting, and identical to the serial `Campaign` path.
+chip -> bank -> subarray) and each summary is a pure function of its unit,
+so results are bit-identical for any ``workers`` count, with or without a
+cache, and for any retry/timeout setting.
 
 Fault tolerance: per-unit execution is wrapped with configurable retries
 (exponential backoff) and an optional per-unit timeout.  A unit that
@@ -49,6 +52,7 @@ from __future__ import annotations
 import contextvars
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -67,6 +71,7 @@ from repro.core.analytic import (
     DEFAULT_SUMMARY_HORIZON,
     GUARDBAND_ROWS,
     OutcomeSummary,
+    SubarrayOutcome,
     SubarrayRole,
     disturb_outcome,
 )
@@ -166,7 +171,8 @@ def plan_units(
     config: DisturbConfig,
     scale: CampaignScale,
 ) -> list[WorkUnit]:
-    """Decompose a campaign into work units, in the serial loop's order."""
+    """Decompose a campaign into work units, in plan order (serial -> chip
+    -> bank -> subarray)."""
     units = []
     for serial in serials:
         spec = get_module(serial)
@@ -190,16 +196,15 @@ def _unit_timing(spec: ModuleSpec) -> TimingParameters:
     return HBM2 if spec.interface == "HBM2" else DDR4
 
 
-def execute_unit(
-    unit: WorkUnit,
-    horizon: float = DEFAULT_ENGINE_HORIZON,
-    guardband: int = GUARDBAND_ROWS,
-) -> OutcomeSummary:
-    """Characterize one unit from scratch (the worker-side entry point).
+def unit_outcome(
+    unit: WorkUnit, guardband: int = GUARDBAND_ROWS
+) -> tuple[CellPopulation, SubarrayOutcome]:
+    """The full per-cell outcome of one unit, with the population behind it.
 
     The subarray's cell population is re-derived from the unit's key, so
-    the result is bit-identical to characterizing through a
-    `SimulatedModule`; the compact event summary is returned.
+    the outcome is bit-identical to characterizing through a
+    `SimulatedModule`.  Every analytic characterization (`execute_unit`,
+    `repro.core.risk`) reaches its cells through this one function.
     """
     spec = get_module(unit.serial)
     population = CellPopulation(
@@ -216,6 +221,18 @@ def execute_unit(
         aggressor_local_row=unit.aggressor_local_row(),
         guardband=guardband,
     )
+    return population, outcome
+
+
+def execute_unit(
+    unit: WorkUnit,
+    horizon: float = DEFAULT_ENGINE_HORIZON,
+    guardband: int = GUARDBAND_ROWS,
+) -> OutcomeSummary:
+    """Characterize one unit from scratch (the worker-side entry point);
+    the compact event summary is returned."""
+    # Hold the population until the summary is built: freeing it first measured slower.
+    population, outcome = unit_outcome(unit, guardband)
     return outcome.summarize(horizon)
 
 
@@ -419,6 +436,8 @@ class CharacterizationEngine:
 
     def __post_init__(self) -> None:
         self.failure_policy = FailurePolicy(self.failure_policy)
+        if self.timeout is not None and not 0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be finite and positive, got {self.timeout!r}")
 
     def characterize_module(
         self,
@@ -426,7 +445,7 @@ class CharacterizationEngine:
         config: DisturbConfig,
         intervals: tuple[float, ...] = (),
     ) -> list[SubarrayRecord]:
-        """Engine equivalent of `Campaign.characterize_module`."""
+        """Characterize every in-scale subarray of one module."""
         return self.characterize_modules((serial,), config, intervals)
 
     def characterize_modules(
@@ -437,8 +456,8 @@ class CharacterizationEngine:
     ) -> list[SubarrayRecord]:
         """Characterize every in-scale subarray of ``serials``.
 
-        Records come back in plan order and are bit-identical to the serial
-        `Campaign` path for any ``workers``/``cache``/retry setting.
+        Records come back in plan order and are bit-identical for any
+        ``workers``/``cache``/retry setting.
         """
         units = plan_units(tuple(serials), config, self.scale)
         with obs.span(

@@ -22,10 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.chip.cells import CellPopulation
-from repro.chip.module import ModuleSpec, SimulatedModule
+from repro.chip.module import ModuleSpec
 from repro.chip.timing import T_AGG_ON_VALUES, TimingParameters
 from repro.core.analytic import SubarrayRole, disturb_outcome
+from repro.core.campaign import CampaignScale
 from repro.core.config import DisturbConfig
+from repro.core.engine import plan_units, unit_outcome
 
 
 @dataclass(frozen=True)
@@ -62,40 +64,39 @@ class RefreshWindowRisk:
 
 
 def refresh_window_risk(
-    module: SimulatedModule,
+    serial: str,
+    scale: CampaignScale,
     window: float = 0.064,
     temperature_c: float = 85.0,
-    config: DisturbConfig | None = None,
 ) -> RefreshWindowRisk:
-    """Analyze every in-scale subarray of ``module`` for sub-window
-    ColumnDisturb bitflips under a (default worst-case) aggressor."""
-    config = (config or DisturbConfig()).at_temperature(temperature_c)
+    """Analyze every in-scale subarray of module ``serial`` for sub-window
+    ColumnDisturb bitflips under the worst-case aggressor, placed in the
+    middle row (``rows // 2``) of each tested subarray.
+
+    Each subarray is one engine work unit, so its cells are the same
+    population a campaign at ``scale`` characterizes.
+    """
+    config = DisturbConfig().at_temperature(temperature_c)
     cells = 0
     rows = 0
     best_time = float("inf")
     closest: int | None = None
     farthest: int | None = None
-    for bank in module.iter_banks():
-        for subarray in range(module.geometry.subarrays):
-            population = bank.population(subarray)
-            aggressor_local = population.rows // 2
-            outcome = disturb_outcome(
-                population, config, module.timing, SubarrayRole.AGGRESSOR,
-                aggressor_local_row=aggressor_local,
-            )
-            flips = outcome._cd_flips(window)
-            cells += int(flips.sum())
-            row_mask = flips.any(axis=1)
-            rows += int(row_mask.sum())
-            best_time = min(best_time, float(outcome.cd_times.min()))
-            victim_rows = np.nonzero(row_mask)[0]
-            if victim_rows.size:
-                distances = np.abs(victim_rows - aggressor_local)
-                near, far = int(distances.min()), int(distances.max())
-                closest = near if closest is None else min(closest, near)
-                farthest = far if farthest is None else max(farthest, far)
+    for unit in plan_units((serial,), config, scale):
+        _, outcome = unit_outcome(unit)
+        flips = outcome._cd_flips(window)
+        cells += int(flips.sum())
+        row_mask = flips.any(axis=1)
+        rows += int(row_mask.sum())
+        best_time = min(best_time, float(outcome.cd_times.min()))
+        victim_rows = np.nonzero(row_mask)[0]
+        if victim_rows.size:
+            distances = np.abs(victim_rows - unit.aggressor_local_row())
+            near, far = int(distances.min()), int(distances.max())
+            closest = near if closest is None else min(closest, near)
+            farthest = far if farthest is None else max(farthest, far)
     return RefreshWindowRisk(
-        serial=module.spec.serial,
+        serial=serial,
         window=window,
         temperature_c=temperature_c,
         vulnerable_cells=cells,

@@ -123,7 +123,6 @@ class FleetConfig:
     cache_dir: str | None = None
     max_queue: int = 64
     batch_window_ms: float = 5.0
-    kernel: str | None = None
     max_inflight: int = 32
     hash_replicas: int = 64
     restart_backoff_s: float = 0.5
@@ -248,8 +247,6 @@ class FleetFrontDoor(AsyncHttpServer):
             "--batch-window-ms",
             str(config.batch_window_ms),
         ]
-        if config.kernel:
-            command += ["--kernel", config.kernel]
         if config.trace_dir:
             command += [
                 "--trace-dir",

@@ -31,7 +31,7 @@ order to every submitted request:
 Execution happens on a single worker thread (``run_in_executor``), which
 serializes engine submissions — the engine itself fans out to worker
 threads when ``workers > 1``, and a single submission lane keeps the
-`OutcomeCache` and `ModulePool` free of cross-thread races.
+`OutcomeCache` free of cross-thread races.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro import obs
 from repro.core.cache import OutcomeCache
-from repro.core.campaign import ModulePool
 from repro.core.engine import (
     CharacterizationEngine,
     plan_units,
@@ -108,7 +107,6 @@ class RequestScheduler:
         max_queue: admission bound on primary (non-coalesced) requests.
         batch_window_s: how long a bucket collects before executing.
         max_batch: a bucket reaching this size executes immediately.
-        kernel: bank kernel name for risk-path simulated modules.
     """
 
     def __init__(
@@ -119,15 +117,12 @@ class RequestScheduler:
         max_queue: int = 64,
         batch_window_s: float = 0.005,
         max_batch: int = 32,
-        kernel: str | None = None,
     ) -> None:
         self.workers = workers
         self.cache = cache if cache is not None else OutcomeCache()
         self.max_queue = max_queue
         self.batch_window_s = batch_window_s
         self.max_batch = max_batch
-        self.kernel = kernel
-        self.pool = ModulePool()
         self.stats = {
             "requests": 0,
             "coalesced": 0,
@@ -365,19 +360,20 @@ class RequestScheduler:
         return results
 
     def _execute_risk(self, requests: list[RiskRequest]) -> list[dict]:
-        """Risk requests share the batch's pooled module (same geometry
-        and temperature by batch-key construction)."""
-        results = []
-        for request in requests:
-            module = self.pool.get(request.serial, request.scale, self.kernel)
-            module.set_temperature(request.temperature_c)
-            risk = refresh_window_risk(
-                module,
-                window=request.window_ms / 1000.0,
-                temperature_c=request.temperature_c,
+        """Risk requests walk their own work units; nothing outlives the
+        request, so served memory stays flat across geometries and
+        temperatures."""
+        return [
+            risk_to_json(
+                refresh_window_risk(
+                    request.serial,
+                    request.scale,
+                    window=request.window_ms / 1000.0,
+                    temperature_c=request.temperature_c,
+                )
             )
-            results.append(risk_to_json(risk))
-        return results
+            for request in requests
+        ]
 
     # ------------------------------------------------------------------
     # Drain

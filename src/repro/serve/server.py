@@ -91,7 +91,6 @@ class ServeConfig:
     cache_dir: str | None = None
     max_queue: int = 64
     batch_window_ms: float = 5.0
-    kernel: str | None = None
     trace_dir: str | None = None
     slow_trace_ms: float = 1000.0
     fleet_checkpoint_every: int = 500
@@ -146,7 +145,6 @@ class ReproServer(AsyncHttpServer):
             cache=OutcomeCache(directory=config.cache_dir),
             max_queue=config.max_queue,
             batch_window_s=config.batch_window_ms / 1000.0,
-            kernel=config.kernel,
         )
         # Fleet campaigns get their own cache handle (job threads must not
         # share the scheduler's memory tier) over the same disk directory,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.chip import BankGeometry
-from repro.core import Campaign, CampaignScale, ModulePool, WORST_CASE
+from repro.core import Campaign, CampaignScale, WORST_CASE
 
 SCALE = CampaignScale(BankGeometry(subarrays=4, rows_per_subarray=64, columns=128))
 
@@ -53,15 +53,6 @@ def test_characterize_modules_concatenates(campaign):
     records = campaign.characterize_modules(("S0", "H0"), WORST_CASE)
     assert {r.serial for r in records} == {"S0", "H0"}
     assert len(records) == 8
-
-
-def test_pool_reuses_modules():
-    pool = ModulePool()
-    first = pool.get("S0", SCALE)
-    second = pool.get("S0", SCALE)
-    assert first is second
-    other_scale = CampaignScale(SCALE.geometry, banks=2)
-    assert pool.get("S0", other_scale) is not first
 
 
 def test_records_deterministic(campaign):

@@ -98,59 +98,38 @@ def test_characterize_bad_geometry_exits_cleanly(capsys):
     assert "columns" in err
 
 
-# ---------------------------------------------------------------------------
-# Kernel selection precedence: --kernel > $REPRO_KERNEL > default
-# ---------------------------------------------------------------------------
-
-@pytest.fixture
-def recorded_modules(monkeypatch):
-    """Record every SimulatedModule the CLI constructs."""
-    import repro.cli as cli_module
-    from repro.chip import SimulatedModule
-
-    created = []
-
-    class Recorder(SimulatedModule):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            created.append(self)
-
-    monkeypatch.setattr(cli_module, "SimulatedModule", Recorder)
-    return created
+@pytest.mark.parametrize("flags", [
+    ("--window", "-5"),
+    ("--window", "nan"),
+    ("--window", "0"),
+    ("--temperature", "1000"),
+    ("--temperature", "inf"),
+])
+def test_risk_out_of_bounds_exits_cleanly(capsys, flags):
+    """`repro risk` shares the served request's bounds."""
+    err = assert_clean_error(capsys, "risk", "S0", *flags)
+    assert "must be in" in err
 
 
-def cli_kernel(capsys, recorded, *argv) -> str:
-    run(capsys, *argv)
-    assert len(recorded) == 1
-    return recorded[0].bank().kernel
+@pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf"])
+def test_characterize_bad_timeout_exits_cleanly(capsys, timeout):
+    err = assert_clean_error(
+        capsys, "characterize", "S0", "--subarrays", "2", "--rows", "64",
+        "--columns", "128", "--workers", "2", "--timeout", timeout,
+    )
+    assert "timeout" in err
 
 
-def test_cli_kernel_flag_beats_environment(capsys, monkeypatch,
-                                           recorded_modules):
-    from repro.chip import KERNEL_ENV
-
-    monkeypatch.setenv(KERNEL_ENV, "batched")
-    kernel = cli_kernel(capsys, recorded_modules, "risk", "H0",
-                        "--kernel", "reference")
-    assert kernel == "reference"
-
-
-def test_cli_environment_beats_default(capsys, monkeypatch,
-                                       recorded_modules):
-    from repro.chip import KERNEL_ENV
-
-    monkeypatch.setenv(KERNEL_ENV, "reference")
-    kernel = cli_kernel(capsys, recorded_modules, "risk", "H0")
-    assert kernel == "reference"
-
-
-def test_cli_default_kernel_is_batched(capsys, monkeypatch,
-                                       recorded_modules):
-    from repro.chip import DEFAULT_KERNEL, KERNEL_ENV
-
-    monkeypatch.delenv(KERNEL_ENV, raising=False)
-    kernel = cli_kernel(capsys, recorded_modules, "risk", "H0")
-    assert kernel == DEFAULT_KERNEL == "batched"
+@pytest.mark.parametrize("argv", [
+    ("risk", "S0", "--kernel", "reference"),
+    ("characterize", "S0", "--kernel", "batched"),
+    ("run-program", "S0", "prog.txt", "--kernel", "batched"),
+    ("serve", "--kernel", "batched"),
+])
+def test_kernel_flag_is_gone(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import pytest
 
 from repro.chip import (
     DEFAULT_KERNEL,
-    KERNEL_ENV,
     KERNELS,
     BankGeometry,
     BatchedKernel,
@@ -22,7 +21,6 @@ from repro.chip import (
     make_kernel,
     resolve_kernel,
 )
-from repro.core import WORST_CASE, Campaign, CampaignScale
 
 GEOMETRY = BankGeometry(subarrays=3, rows_per_subarray=32, columns=64)
 
@@ -193,18 +191,6 @@ def test_single_subarray_geometry_parity():
     assert_bit_identical(*run_on_both(program, geometry=geometry))
 
 
-def test_campaign_subarray_records_parity():
-    """Full serial campaigns produce identical SubarrayRecords per kernel."""
-    scale = CampaignScale(GEOMETRY)
-    reference = Campaign(scale=scale, kernel="reference").characterize_module(
-        "S0", WORST_CASE, (0.512, 16.0)
-    )
-    batched = Campaign(scale=scale, kernel="batched").characterize_module(
-        "S0", WORST_CASE, (0.512, 16.0)
-    )
-    assert reference == batched
-
-
 # ---------------------------------------------------------------------------
 # Selection plumbing
 # ---------------------------------------------------------------------------
@@ -214,19 +200,6 @@ def test_default_kernel_is_batched():
     assert set(KERNELS) == {"reference", "batched"}
     bank = make_bank(None)
     assert bank.kernel in KERNELS
-
-
-def test_env_var_selects_kernel(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV, "reference")
-    assert resolve_kernel() == "reference"
-    assert make_bank(None).kernel == "reference"
-    monkeypatch.delenv(KERNEL_ENV)
-    assert resolve_kernel() == DEFAULT_KERNEL
-
-
-def test_explicit_argument_overrides_env(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV, "reference")
-    assert make_bank("batched").kernel == "batched"
 
 
 def test_invalid_kernel_rejected():
@@ -248,29 +221,3 @@ def test_module_propagates_kernel_to_banks():
     )
     assert module.kernel == "reference"
     assert all(bank.kernel == "reference" for bank in module.iter_banks())
-
-
-def test_campaign_kernel_reaches_module_pool():
-    campaign = Campaign(scale=CampaignScale(GEOMETRY), kernel="reference")
-    module = campaign.pool.get("S0", campaign.scale, campaign.kernel)
-    assert module.kernel == "reference"
-    # Different kernels are distinct pool entries, same kernel is cached.
-    assert campaign.pool.get("S0", campaign.scale, "reference") is module
-    assert campaign.pool.get("S0", campaign.scale, "batched") is not module
-
-
-def test_cli_kernel_flag(tmp_path, capsys):
-    from repro.cli import main
-
-    program = tmp_path / "prog.txt"
-    program.write_text(
-        "WRITE 16 0x00\nWRITE 17 0xFF\n"
-        "LOOP 1000\n  ACT 16\n  WAIT 70.2us\n  PRE\n  WAIT 14ns\nENDLOOP\n"
-        "READ 17 tag=victim\n"
-    )
-    geometry_args = ["--subarrays", "2", "--rows", "32", "--columns", "64"]
-    for kernel in KERNELS:
-        argv = ["run-program", "S0", str(program)] + geometry_args
-        assert main(argv + ["--kernel", kernel]) == 0
-    out = capsys.readouterr().out
-    assert out.count("executed") == len(KERNELS)

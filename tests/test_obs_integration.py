@@ -94,18 +94,20 @@ def test_engine_metrics_match_trace_and_records():
 
 @pytest.mark.engine
 def test_engine_and_serial_paths_report_identical_flip_totals():
+    """An in-process `Campaign` pass and a thread-pool pass feed the same
+    flip totals."""
     obs.enable()
-    serial_records = Campaign(scale=QUICK_SCALE).characterize_module(
+    in_process_records = Campaign(scale=QUICK_SCALE).characterize_module(
         "S0", WORST_CASE, INTERVALS
     )
-    serial_total = _counter_value(obs.snapshot(), "cells_flipped_total")
+    in_process_total = _counter_value(obs.snapshot(), "cells_flipped_total")
     obs.reset()
-    engine_records = CharacterizationEngine(
+    pool_records = CharacterizationEngine(
         scale=QUICK_SCALE, workers=2, serial_fallback=False
     ).characterize_module("S0", WORST_CASE, INTERVALS)
-    engine_total = _counter_value(obs.snapshot(), "cells_flipped_total")
-    assert serial_total == engine_total == _expected_flips(serial_records)
-    assert serial_records == engine_records
+    pool_total = _counter_value(obs.snapshot(), "cells_flipped_total")
+    assert in_process_total == pool_total == _expected_flips(in_process_records)
+    assert in_process_records == pool_records
 
 
 @pytest.mark.engine

@@ -2,25 +2,22 @@
 
 import pytest
 
-from repro.chip import BankGeometry, DDR4, SimulatedModule, get_module
+from repro.chip import DDR4, BankGeometry, get_module
 from repro.chip.cells import CellPopulation
 from repro.core import (
+    CampaignScale,
     find_worst_case,
     project_scaling,
     refresh_window_risk,
 )
 
-GEOMETRY = BankGeometry(subarrays=4, rows_per_subarray=256, columns=512)
-
-
-def make_module(serial: str) -> SimulatedModule:
-    return SimulatedModule(get_module(serial), geometry=GEOMETRY)
+SCALE = CampaignScale(BankGeometry(subarrays=4, rows_per_subarray=256, columns=512))
 
 
 class TestRefreshWindowRisk:
     def test_vulnerable_module_flagged(self):
         """Obs 3: the Micron F-die flips inside the 64 ms window."""
-        risk = refresh_window_risk(make_module("M8"), window=0.064)
+        risk = refresh_window_risk("M8", SCALE, window=0.064)
         assert risk.at_risk
         assert risk.vulnerable_cells >= risk.vulnerable_rows > 0
         assert risk.time_to_first < 0.064
@@ -31,17 +28,14 @@ class TestRefreshWindowRisk:
 
     def test_resilient_module_clear(self):
         """An old Hynix die at low temperature stays inside the window."""
-        module = make_module("H0")
-        module.set_temperature(45.0)
-        risk = refresh_window_risk(module, window=0.064, temperature_c=45.0)
+        risk = refresh_window_risk("H0", SCALE, window=0.064, temperature_c=45.0)
         assert not risk.at_risk
         assert risk.vulnerable_cells == 0
         assert risk.closest_victim_rows is None
 
     def test_longer_window_more_risk(self):
-        module = make_module("S4")
-        short = refresh_window_risk(module, window=0.064)
-        long = refresh_window_risk(module, window=0.512)
+        short = refresh_window_risk("S4", SCALE, window=0.064)
+        long = refresh_window_risk("S4", SCALE, window=0.512)
         assert long.vulnerable_cells >= short.vulnerable_cells
 
 

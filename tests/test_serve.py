@@ -224,6 +224,50 @@ def test_risk_requests_served():
     assert result["vulnerable_cells"] > 0
 
 
+@pytest.mark.parametrize("geometry", [
+    {"subarrays": 3, "rows": 128, "columns": 256},
+    {"subarrays": 1, "rows": 100, "columns": 64},
+], ids=("3x128x256", "1x100x64"))
+def test_every_legal_risk_geometry_is_served(server, geometry):
+    """Bank sizes that are not a power of two are legal requests; every
+    module, whatever its row mapping, answers them with the in-process
+    result."""
+    from repro.chip import CATALOG
+    from repro.core import refresh_window_risk
+    from repro.serve.protocol import risk_to_json
+
+    with ServeClient(port=server.port, timeout=60) as client:
+        for serial in sorted(CATALOG):
+            request = RiskRequest.from_json({"serial": serial, **geometry})
+            expected = risk_to_json(refresh_window_risk(
+                serial, request.scale,
+                window=request.window_ms / 1000.0,
+                temperature_c=request.temperature_c,
+            ))
+            assert client.risk(request) == expected
+
+
+def test_cli_risk_prints_the_served_default(server, capsys):
+    from repro.analysis import seconds
+    from repro.cli import main
+
+    with ServeClient(port=server.port, timeout=60) as client:
+        served = client.risk({"serial": "S0"})
+    assert main(["risk", "S0"]) == 0
+    out = capsys.readouterr().out
+    assert f"at risk: {'YES' if served['at_risk'] else 'no'}" in out
+    assert (
+        f"vulnerable cells: {served['vulnerable_cells']} in "
+        f"{served['vulnerable_rows']} rows"
+    ) in out
+    assert f"fastest bitflip: {seconds(served['time_to_first'])}" in out
+    if served["closest_victim_rows"] is not None:
+        assert (
+            f"victim distance from aggressor: {served['closest_victim_rows']}-"
+            f"{served['farthest_victim_rows']} rows"
+        ) in out
+
+
 # ---------------------------------------------------------------------------
 # Scheduler: failure accounting (queue depth must survive a dead batch)
 # ---------------------------------------------------------------------------
