@@ -5,6 +5,9 @@ concurrent duplicate requests with the bundled client, and asserts the
 things the serving layer promises:
 
 * every request answers 200 with identical payloads;
+* one sequential repeat after the burst is answered from the memory tier:
+  the identical payload, no new engine job (``/healthz`` ``stats.jobs``)
+  and ``stats.answered`` one higher;
 * two concurrent ``/v1/risk`` requests on a bank whose row count is not a
   power of two (M8, an XOR-mapped module, at 3 x 128 x 256) answer 200
   with identical payloads equal to the in-process ``refresh_window_risk``;
@@ -13,8 +16,9 @@ things the serving layer promises:
 * SIGTERM drains cleanly — exit code 0 and the drain banner on stderr.
 
 ``--fleet N`` runs the same checks through a ``repro serve --fleet N``
-front door instead: duplicates must still coalesce *after* sharding
-(read from the aggregated ``/fleet/stats``), the front door must expose
+front door instead: duplicates must still coalesce *after* sharding,
+and the sequential repeat must be answered from memory (both read from the
+aggregated ``/fleet/stats`` totals), the front door must expose
 its fleet metrics federated with per-worker labels, a request's
 ``X-Request-Id`` must surface in a worker's forwarded JSON log line,
 and SIGTERM must drain front door and workers to a zero exit.
@@ -81,6 +85,14 @@ def concurrent_calls(port: int, count: int, call) -> list:
     return results
 
 
+def scheduler_counters(client, fleet: bool) -> dict:
+    """Scheduler counters: the server's ``/healthz`` stats, or the sum
+    over the fleet's workers from ``/fleet/stats``."""
+    if fleet:
+        return client.fleet_stats()["totals"]
+    return client.healthz()["stats"]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -134,6 +146,22 @@ def main(argv: list[str] | None = None) -> int:
                  f"got {len(results[0]['records'])}")
         print(f"serve_smoke: {CLIENTS} duplicate requests OK, "
               "identical payloads")
+
+        with ServeClient(port=port) as client:
+            before = scheduler_counters(client, args.fleet)
+            repeat = client.characterize(REQUEST)
+            after = scheduler_counters(client, args.fleet)
+        if repeat != results[0]:
+            fail("a sequential repeat returned a different payload")
+        if after.get("jobs") != before.get("jobs"):
+            fail(f"a sequential repeat ran an engine job (jobs "
+                 f"{before.get('jobs')} -> {after.get('jobs')})")
+        answered = (before.get("answered", 0), after.get("answered", 0))
+        if answered[1] != answered[0] + 1:
+            fail(f"a sequential repeat was not answered from memory "
+                 f"(answered {answered[0]} -> {answered[1]})")
+        print("serve_smoke: sequential repeat answered from memory, "
+              "identical payload, no engine job")
 
         risks = concurrent_calls(
             port, RISK_CLIENTS, lambda client: client.risk(RISK_REQUEST)

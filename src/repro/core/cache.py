@@ -144,6 +144,16 @@ def content_key(fields: tuple) -> str:
     return hashlib.sha256(repr(tuple(fields)).encode()).hexdigest()
 
 
+def _field_values(value) -> tuple:
+    """The field values of a flat dataclass, in field order.
+
+    For the flat frozen dataclasses keys hash (`DisturbanceProfile`,
+    `DisturbConfig`) this equals ``dataclasses.astuple(value)``, and so has
+    the same ``repr``, without its recursive copy of every field.
+    """
+    return tuple(getattr(value, field.name) for field in dataclasses.fields(value))
+
+
 def outcome_cache_key(
     population_key: tuple,
     rows: int,
@@ -160,8 +170,8 @@ def outcome_cache_key(
         tuple(population_key),
         rows,
         columns,
-        dataclasses.astuple(profile),
-        dataclasses.astuple(config),
+        _field_values(profile),
+        _field_values(config),
         role.value,
         guardband,
         aggressor_local_row,
@@ -188,8 +198,9 @@ class OutcomeCache:
         tmp_sweep_age_s: float = TMP_SWEEP_AGE_S,
     ) -> None:
         self._memory: OrderedDict[str, OutcomeSummary] = OrderedDict()
-        # Fleet pool threads share one cache: the byte total is a
-        # read-modify-write, so the memory-tier bookkeeping is serialized.
+        # Fleet pool threads share one cache, and the serve event loop
+        # reads it while the submission lane writes: the memory tier, its
+        # byte total and the lookup counters change only under this lock.
         self._memory_lock = threading.Lock()
         self.memory_bytes = 0
         self.max_memory_entries = max_memory_entries
@@ -221,12 +232,19 @@ class OutcomeCache:
         ``"disk"``, or ``"miss"``.  A stored summary whose horizon cannot
         answer ``min_horizon`` is a miss — it is *not* promoted between
         tiers, and the caller's subsequent `put` replaces it.
+
+        Safe against concurrent `put` calls: the memory-tier read, its
+        recency refresh and the counters move together under the memory
+        lock, and the disk read runs outside it.
         """
-        self.lookups += 1
-        summary = self._memory.get(key)
-        if summary is not None and summary.horizon >= min_horizon:
-            self._memory.move_to_end(key)
-            self.hits += 1
+        with self._memory_lock:
+            summary = self._memory.get(key)
+            hit = summary is not None and summary.horizon >= min_horizon
+            if hit:
+                self._memory.move_to_end(key)
+                self.lookups += 1
+                self.hits += 1
+        if hit:
             _LOOKUP_MEMORY.inc()
             self._update_gauges()
             return summary, "memory"
@@ -234,15 +252,31 @@ class OutcomeCache:
             loaded = self._load(key)
             if loaded is not None and loaded.horizon >= min_horizon:
                 self._remember(key, loaded)
-                self.disk_hits += 1
-                self.hits += 1
+                with self._memory_lock:
+                    self.lookups += 1
+                    self.hits += 1
+                    self.disk_hits += 1
                 _LOOKUP_DISK.inc()
                 self._update_gauges()
                 return loaded, "disk"
-        self.misses += 1
+        with self._memory_lock:
+            self.lookups += 1
+            self.misses += 1
         _LOOKUP_MISS.inc()
         self._update_gauges()
         return None, "miss"
+
+    def holds(self, key: str, min_horizon: float = 0.0) -> bool:
+        """Whether the memory tier holds a summary of ``key`` able to
+        answer intervals up to ``min_horizon``.
+
+        A probe, not a lookup: it never reads the disk tier and changes no
+        counter and no recency, so a caller can check that a whole request
+        is in memory before resolving it through `lookup`.
+        """
+        with self._memory_lock:
+            summary = self._memory.get(key)
+        return summary is not None and summary.horizon >= min_horizon
 
     def get(self, key: str, min_horizon: float = 0.0) -> OutcomeSummary | None:
         """Look up a summary able to answer intervals up to ``min_horizon``."""
@@ -261,18 +295,19 @@ class OutcomeCache:
         """Mutually consistent counters: ``hits + misses == lookups``;
         ``disk_hits`` is the subset of ``hits`` answered from disk;
         ``memory_bytes`` is the summary array bytes the memory tier holds."""
-        return {
-            "entries": len(self._memory),
-            "memory_bytes": self.memory_bytes,
-            "disk_entries": self.disk_entries,
-            "lookups": self.lookups,
-            "hits": self.hits,
-            "misses": self.misses,
-            "disk_hits": self.disk_hits,
-            "quarantined": self.quarantined,
-            "evictions": self.evictions,
-            "swept_tmp": self.swept_tmp,
-        }
+        with self._memory_lock:
+            return {
+                "entries": len(self._memory),
+                "memory_bytes": self.memory_bytes,
+                "disk_entries": self.disk_entries,
+                "lookups": self.lookups,
+                "hits": self.hits,
+                "misses": self.misses,
+                "disk_hits": self.disk_hits,
+                "quarantined": self.quarantined,
+                "evictions": self.evictions,
+                "swept_tmp": self.swept_tmp,
+            }
 
     def _update_gauges(self) -> None:
         """Mirror this instance's tier sizes and hit ratio onto the

@@ -1,6 +1,7 @@
-"""Request scheduler: coalescing, micro-batching, and admission control.
+"""Request scheduler: coalescing, answering from memory, micro-batching,
+and admission control.
 
-The serving hot path of `repro.serve`.  Three mechanisms, applied in
+The serving hot path of `repro.serve`.  Four mechanisms, applied in
 order to every submitted request:
 
 1. **In-flight coalescing.**  Requests are content-addressed
@@ -9,29 +10,43 @@ order to every submitted request:
    computation attaches to its future instead of recomputing.  Coalesced
    attachments are free — they consume no queue slot and no engine work.
 
-2. **Micro-batching.**  A primary (non-coalesced) request does not
-   execute immediately: it joins a bucket keyed by its execution context
-   (`batch_key` — kind, geometry, temperature) and waits up to
+2. **Answered from memory.**  Once the drain check has passed, a
+   characterize request whose every work unit the `OutcomeCache` memory
+   tier already holds, at the horizon the request needs, is answered at
+   once on the event loop.  It waits for no batch window, takes no queue
+   slot and never reaches the lane.  The scheduler probes units in plan
+   order (`OutcomeCache.holds`) and stops at the first one that is not
+   held, so a cold request pays one key and one probe before it queues.
+   Disk-tier hits and risk requests still go through the lane, which
+   keeps file I/O off the loop.
+
+3. **Micro-batching.**  Any other primary (non-coalesced) request does
+   not execute immediately: it joins a bucket keyed by its execution
+   context (`batch_key` — kind, geometry, temperature) and waits up to
    ``batch_window_s``.  Everything that lands in the bucket inside the
    window is folded into *one* engine submission: characterize batches
    plan all their work units together, deduplicate them by outcome cache
    key, and resolve them through one
    `CharacterizationEngine.compute_summaries` call sharing the worker
    pool; per-request records are then assembled from the shared summaries
-   at each request's own intervals.
+   at each request's own intervals, by the same code that assembles an
+   answered request's records.
 
-3. **Admission control.**  At most ``max_queue`` primary requests may be
+4. **Admission control.**  At most ``max_queue`` primary requests may be
    admitted-but-unfinished; past that, `submit` raises
    :class:`QueueFullError` carrying a ``retry_after`` hint (the server
-   turns it into HTTP 429 + ``Retry-After``).  `begin_drain` flips the
-   scheduler into drain mode: new primaries are refused
-   (:class:`DrainingError` -> 503), buckets are flushed immediately, and
-   `drain` returns once every admitted request has completed.
+   turns it into HTTP 429 + ``Retry-After``).  Answered requests, like
+   coalesced ones, are always admitted.  `begin_drain` flips the
+   scheduler into drain mode: new primaries and answerable requests are
+   refused (:class:`DrainingError` -> 503), buckets are flushed
+   immediately, and `drain` returns once every admitted request has
+   completed.
 
 Execution happens on a single worker thread (``run_in_executor``), which
 serializes engine submissions — the engine itself fans out to worker
-threads when ``workers > 1``, and a single submission lane keeps the
-`OutcomeCache` free of cross-thread races.
+threads when ``workers > 1``.  The event loop looks units up in the
+`OutcomeCache` while the lane writes to it; the cache's memory lock
+keeps both sides consistent.
 """
 
 from __future__ import annotations
@@ -42,9 +57,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro import obs
+from repro.chip.catalog import get_module
+from repro.core.analytic import OutcomeSummary
 from repro.core.cache import OutcomeCache
+from repro.core.config import SEARCH_INTERVAL
 from repro.core.engine import (
     CharacterizationEngine,
+    WorkUnit,
     plan_units,
     record_from_summary,
 )
@@ -59,6 +78,11 @@ from repro.serve.protocol import (
 _COALESCED = obs.counter(
     "serve_coalesced_total",
     "Requests attached to an already-in-flight identical computation.",
+)
+_ANSWERED = obs.counter(
+    "serve_answered_total",
+    "Requests answered from the outcome cache's memory tier at submit, "
+    "without a batch or the submission lane.",
 )
 _REJECTED = obs.counter(
     "serve_rejected_total",
@@ -126,6 +150,7 @@ class RequestScheduler:
         self.stats = {
             "requests": 0,
             "coalesced": 0,
+            "answered": 0,
             "rejected": 0,
             "jobs": 0,
             "failed_jobs": 0,
@@ -162,7 +187,8 @@ class RequestScheduler:
         return float(min(30, max(1, math.ceil(expected))))
 
     async def submit(self, request: CharacterizeRequest | RiskRequest):
-        """Resolve one request, coalescing/batching as described above.
+        """Resolve one request: coalesce, answer from memory, or batch, as
+        described above.
 
         Returns the JSON-able response payload.  Raises
         :class:`QueueFullError` past ``max_queue`` and
@@ -186,6 +212,15 @@ class RequestScheduler:
             return await asyncio.shield(future)
         if self._draining:
             raise DrainingError()
+        if isinstance(request, CharacterizeRequest):
+            payload = self._answer_from_memory(request)
+            if payload is not None:
+                self.stats["answered"] += 1
+                _ANSWERED.inc()
+                active = obs.current_span()
+                if active is not None:
+                    active.set_attribute("answered", "memory")
+                return payload
         if self._queued >= self.max_queue:
             self.stats["rejected"] += 1
             _REJECTED.inc()
@@ -207,6 +242,34 @@ class RequestScheduler:
                 self.batch_window_s, self._flush, batch_key
             )
         return await asyncio.shield(future)
+
+    def _answer_from_memory(self, request: CharacterizeRequest) -> dict | None:
+        """The response payload, if the memory tier holds every unit of
+        ``request`` at the horizon it needs; ``None`` sends it to the lane.
+
+        Every unit is probed before any is looked up, so only a request
+        that can be answered whole touches the hit counters, and each
+        lookup keeps the counters, recency and gauges exact.  A unit
+        evicted between its probe and its lookup (only a bounded memory
+        tier evicts) is read from the disk tier if there is one; if it is
+        not there either, the request falls back to the lane.
+        """
+        horizon = max((SEARCH_INTERVAL, *request.intervals))
+        spec = get_module(request.serial)
+        units = plan_units((request.serial,), request.config, request.scale)
+        keys = []
+        for unit in units:
+            key = unit.cache_key(spec=spec)
+            if not self.cache.holds(key, horizon):
+                return None
+            keys.append(key)
+        summaries = []
+        for key in keys:
+            summary, _ = self.cache.lookup(key, min_horizon=horizon)
+            if summary is None:
+                return None
+            summaries.append(summary)
+        return _characterize_payload(request, units, summaries)
 
     def _flush(self, batch_key: tuple) -> None:
         timer = self._timers.pop(batch_key, None)
@@ -343,21 +406,10 @@ class RequestScheduler:
             sorted({t for request in requests for t in request.intervals})
         )
         summaries = engine.compute_summaries(flat, union_intervals)
-        results = []
-        for request, units, slots in zip(requests, per_request_units, request_slots):
-            records = [
-                record_from_summary(unit, summaries[index], tuple(request.intervals))
-                for unit, index in zip(units, slots)
-            ]
-            results.append(
-                {
-                    "serial": request.serial,
-                    "intervals": list(request.intervals),
-                    "temperature_c": request.temperature_c,
-                    "records": [record_to_json(record) for record in records],
-                }
-            )
-        return results
+        return [
+            _characterize_payload(request, units, [summaries[index] for index in slots])
+            for request, units, slots in zip(requests, per_request_units, request_slots)
+        ]
 
     def _execute_risk(self, requests: list[RiskRequest]) -> list[dict]:
         """Risk requests walk their own work units; nothing outlives the
@@ -394,3 +446,24 @@ class RequestScheduler:
     async def aclose(self) -> None:
         """Drain and shut down (alias used by tests)."""
         await self.drain()
+
+
+def _characterize_payload(
+    request: CharacterizeRequest,
+    units: list[WorkUnit],
+    summaries: list[OutcomeSummary | None],
+) -> dict:
+    """The ``/v1/characterize`` response for ``request``: one record per
+    unit, in plan order, at the request's own intervals.  Both the lane
+    and the answered path build responses here, so they are the same
+    bytes."""
+    intervals = tuple(request.intervals)
+    return {
+        "serial": request.serial,
+        "intervals": list(request.intervals),
+        "temperature_c": request.temperature_c,
+        "records": [
+            record_to_json(record_from_summary(unit, summary, intervals))
+            for unit, summary in zip(units, summaries)
+        ],
+    }

@@ -8,6 +8,8 @@ key converge, and the stats counters stay mutually consistent.
 """
 
 import os
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -208,3 +210,62 @@ def test_lru_get_refreshes_recency(unit):
     cache.put(keys[2], execute_unit(units[2], horizon=2.0))  # evicts key 1
     assert cache.get(keys[0]) is not None
     assert cache.get(keys[1]) is None
+
+
+def test_holds_probes_memory_only(tmp_path, unit, summary):
+    """`holds` answers from the memory tier alone: it never loads a disk
+    entry and moves no counter."""
+    key = unit.cache_key()
+    OutcomeCache(tmp_path).put(key, summary)
+    cache = OutcomeCache(tmp_path)
+    assert not cache.holds(key)  # on disk only
+    assert len(cache) == 0
+    assert cache.lookup(key, min_horizon=1.0)[1] == "disk"
+    assert cache.holds(key, min_horizon=summary.horizon)
+    assert not cache.holds(key, min_horizon=summary.horizon * 2)
+    assert not cache.holds("missing-key")
+    assert cache.stats["lookups"] == 1 and cache.stats["hits"] == 1
+
+
+def test_lookup_survives_concurrent_eviction(unit, summary):
+    """A memory hit whose entry another thread evicts mid-lookup must not
+    raise, and the counters must still add up.  The serve event loop reads
+    the cache while the submission lane writes it."""
+    readers, rounds = 2, 10_000
+    cache = OutcomeCache(max_memory_entries=1)
+    cache.put("a", summary)
+    stop = threading.Event()
+    errors = []
+
+    def writer():
+        while not stop.is_set():
+            cache.put("a", summary)
+            cache.put("b", summary)  # evicts "a"
+
+    def reader():
+        try:
+            for _ in range(rounds):
+                cache.lookup("a")
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    writing = threading.Thread(target=writer)
+    reading = [threading.Thread(target=reader) for _ in range(readers)]
+    try:
+        writing.start()
+        for thread in reading:
+            thread.start()
+        for thread in reading:
+            thread.join(timeout=60)
+    finally:
+        stop.set()
+        writing.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not writing.is_alive()
+    assert not any(thread.is_alive() for thread in reading)
+    assert errors == []
+    stats = cache.stats
+    assert stats["lookups"] == readers * rounds
+    assert stats["hits"] + stats["misses"] == stats["lookups"]

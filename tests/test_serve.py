@@ -1,9 +1,11 @@
 """The characterization service: coalescing, batching, backpressure, drain.
 
-Four contracts anchor this file (they are the serving subsystem's
+Five contracts anchor this file (they are the serving subsystem's
 acceptance criteria):
 
 * N concurrent identical requests produce exactly ONE engine submission;
+* a request whose every unit is in the memory tier is answered without
+  the submission lane, with the lane's bytes;
 * a full admission queue answers 429 with a ``Retry-After`` hint;
 * SIGTERM drains in-flight work before the process exits;
 * a served record is byte-identical to a direct `Campaign` run.
@@ -23,7 +25,14 @@ import time
 
 import pytest
 
-from repro.core import QUICK_SCALE, WORST_CASE, Campaign, CampaignScale
+from repro.core import (
+    QUICK_SCALE,
+    WORST_CASE,
+    Campaign,
+    CampaignScale,
+    OutcomeCache,
+    plan_units,
+)
 from repro.serve import (
     CharacterizeRequest,
     DrainingError,
@@ -359,6 +368,176 @@ def test_finish_is_idempotent_on_double_settlement():
     depth, result = run_async(scenario())
     assert depth == 0
     assert result == {"ok": True}
+
+
+# ---------------------------------------------------------------------------
+# Scheduler: requests answered from the memory tier
+# ---------------------------------------------------------------------------
+
+def _refuse_lane(batch_key, requests, contexts=None):
+    raise AssertionError("an answerable request reached the submission lane")
+
+
+def _direct_records(request: CharacterizeRequest) -> list[dict]:
+    """The response rows of a direct `Campaign` run of ``request``."""
+    records = Campaign(scale=request.scale).characterize_module(
+        request.serial, request.config, intervals=request.intervals
+    )
+    return [record_to_json(record) for record in records]
+
+
+def test_warm_request_is_answered_without_the_lane():
+    async def scenario():
+        scheduler = RequestScheduler(batch_window_s=0.01)
+        request = CharacterizeRequest.from_json(REQ)
+        lane = await scheduler.submit(request)
+        jobs = scheduler.stats["jobs"]
+        scheduler._execute_batch = _refuse_lane
+        answered = await scheduler.submit(request)
+        stats = dict(scheduler.stats)
+        await scheduler.drain()
+        return lane, answered, jobs, stats
+
+    lane, answered, jobs, stats = run_async(scenario())
+    assert json.dumps(answered) == json.dumps(lane)
+    assert stats["jobs"] == jobs == 1
+    assert stats["answered"] == 1
+    assert stats["requests"] == 2
+
+
+def test_longer_interval_grows_the_entry_then_is_answered():
+    short = CharacterizeRequest.from_json(REQ)
+    long = CharacterizeRequest.from_json({**REQ, "intervals": [0.512, 64.0]})
+
+    async def scenario():
+        scheduler = RequestScheduler(batch_window_s=0.01)
+        await scheduler.submit(short)
+        grown = await scheduler.submit(long)  # 64 s > the cached horizon
+        lane_jobs = scheduler.stats["jobs"]
+        scheduler._execute_batch = _refuse_lane
+        repeat = await scheduler.submit(long)
+        shorter = await scheduler.submit(short)  # the grown entry answers it
+        stats = dict(scheduler.stats)
+        await scheduler.drain()
+        return grown, repeat, shorter, lane_jobs, stats
+
+    grown, repeat, shorter, lane_jobs, stats = run_async(scenario())
+    assert lane_jobs == 2
+    assert grown["records"] == _direct_records(long)
+    assert repeat == grown
+    assert shorter["intervals"] == [0.512, 16.0]
+    assert stats["jobs"] == 2 and stats["answered"] == 2
+
+
+def test_disk_only_entry_goes_through_the_lane_once(tmp_path):
+    request = CharacterizeRequest.from_json(REQ)
+
+    async def scenario():
+        first = RequestScheduler(cache=OutcomeCache(tmp_path), batch_window_s=0.01)
+        written = await first.submit(request)
+        await first.drain()
+        # A fresh process over the same directory: memory is empty.
+        scheduler = RequestScheduler(cache=OutcomeCache(tmp_path), batch_window_s=0.01)
+        from_disk = await scheduler.submit(request)
+        after_disk = dict(scheduler.stats)
+        from_memory = await scheduler.submit(request)
+        stats, cache = dict(scheduler.stats), scheduler.cache.stats
+        await scheduler.drain()
+        return written, from_disk, after_disk, from_memory, stats, cache
+
+    written, from_disk, after_disk, from_memory, stats, cache = run_async(scenario())
+    assert written == from_disk == from_memory
+    assert after_disk["jobs"] == 1 and after_disk["answered"] == 0
+    assert stats["jobs"] == 1 and stats["answered"] == 1
+    units = len(plan_units(("S0",), request.config, request.scale))
+    assert cache["disk_hits"] == units
+    assert cache["hits"] == cache["lookups"] == 2 * units
+
+
+def test_answered_request_is_admitted_while_the_queue_is_full():
+    async def scenario():
+        cache = OutcomeCache()
+        warm = RequestScheduler(cache=cache, batch_window_s=0.01)
+        expected = await warm.submit(CharacterizeRequest.from_json(REQ))
+        await warm.drain()
+        scheduler = RequestScheduler(cache=cache, max_queue=1, batch_window_s=5.0)
+        cold = asyncio.create_task(
+            scheduler.submit(CharacterizeRequest.from_json({**REQ, "serial": "S1"}))
+        )
+        await asyncio.sleep(0)  # the cold primary takes the only slot
+        answered = await scheduler.submit(CharacterizeRequest.from_json(REQ))
+        with pytest.raises(QueueFullError):
+            await scheduler.submit(CharacterizeRequest.from_json({**REQ, "serial": "M8"}))
+        scheduler.begin_drain()
+        await cold
+        stats = dict(scheduler.stats)
+        await scheduler.drain()
+        return expected, answered, stats
+
+    expected, answered, stats = run_async(scenario())
+    assert answered == expected
+    assert stats["answered"] == 1
+    assert stats["rejected"] == 1
+    assert stats["jobs"] == 1  # the cold request's batch only
+
+
+def test_drain_refuses_an_answerable_request():
+    async def scenario():
+        scheduler = RequestScheduler(batch_window_s=0.01)
+        request = CharacterizeRequest.from_json(REQ)
+        await scheduler.submit(request)
+        scheduler.begin_drain()
+        with pytest.raises(DrainingError):
+            await scheduler.submit(request)
+        stats = dict(scheduler.stats)
+        await scheduler.drain()
+        return stats
+
+    assert run_async(scenario())["answered"] == 0
+
+
+def test_unit_evicted_after_its_probe_falls_back_to_the_lane():
+    """If a probed unit is gone by its lookup, the request takes the lane
+    and still gets the lane's answer."""
+    request = CharacterizeRequest.from_json(REQ)
+
+    async def scenario():
+        scheduler = RequestScheduler(batch_window_s=0.01)
+        scheduler.cache.holds = lambda key, min_horizon=0.0: True  # stale probe
+        result = await scheduler.submit(request)
+        stats, cache = dict(scheduler.stats), scheduler.cache.stats
+        await scheduler.drain()
+        return result, stats, cache
+
+    result, stats, cache = run_async(scenario())
+    assert result["records"] == _direct_records(request)
+    assert stats["jobs"] == 1 and stats["answered"] == 0
+    assert cache["hits"] + cache["misses"] == cache["lookups"]
+
+
+def test_cache_counters_stay_exact_across_answered_and_cold_requests():
+    warm, cold = 7, 3
+    units = len(plan_units(("S0",), WORST_CASE, CharacterizeRequest.from_json(REQ).scale))
+
+    async def scenario():
+        scheduler = RequestScheduler(batch_window_s=0.01)
+        colds = [
+            CharacterizeRequest.from_json({**REQ, "temperature_c": 40.0 + 5.0 * index})
+            for index in range(cold)
+        ]
+        for request in colds:
+            await scheduler.submit(request)
+        for index in range(warm):
+            await scheduler.submit(colds[index % cold])
+        stats, cache = dict(scheduler.stats), scheduler.cache.stats
+        await scheduler.drain()
+        return stats, cache
+
+    stats, cache = run_async(scenario())
+    assert stats["jobs"] == cold and stats["answered"] == warm
+    assert cache["lookups"] == cache["hits"] + cache["misses"]
+    assert cache["misses"] == cold * units
+    assert cache["hits"] == warm * units
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,19 @@ def test_client_trace_joins_the_server_trace(server):
     assert client.last_request_id == caller.trace_id
 
 
+def test_answered_request_is_marked_on_its_request_span(server):
+    """A repeat answered from the memory tier opens no batch span; its
+    request span says where the answer came from."""
+    obs.enable()
+    with ServeClient(port=server.port) as client:
+        first = client.characterize(REQ)
+        assert client.characterize(REQ) == first
+    spans = obs.finished_spans()
+    requests = [s for s in spans if s["name"] == "serve.request"]
+    assert [s["attributes"].get("answered") for s in requests] == [None, "memory"]
+    assert len([s for s in spans if s["name"] == "serve.batch"]) == 1
+
+
 def test_requests_without_traceparent_get_distinct_traces(server):
     obs.enable()
     with ServeClient(port=server.port) as client:
