@@ -1,9 +1,10 @@
 """Ablation: does the Fig. 23 conclusion survive command-level fidelity?
 
-Re-runs the RAIDR weak-fraction sweep on the command-level DDR4 controller
-(explicit ACT/PRE/RD/WR scheduling with tRRD/tFAW/tWTR constraints,
-`repro.sim.cmdlevel`) alongside the simple three-latency backend.  The
-refresh-interference trend — the substance of Takeaway 12 — must be
+Re-runs the RAIDR weak-fraction sweep on the command-level backend
+(explicit ACT/PRE/RD/WR scheduling with tRRD/tFAW/tWTR/tWR constraints,
+the ``"command"`` mode of `repro.sim.memsys.MemorySystem`) alongside the
+simple three-latency backend; both run in the same memsys event loop.
+The refresh-interference trend — the substance of Takeaway 12 — must be
 backend-independent.
 """
 

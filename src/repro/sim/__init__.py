@@ -1,11 +1,5 @@
 """Cycle-level memory-system simulator (Ramulator-lite, §6.2 substitution)."""
 
-from repro.sim.cmdlevel import (
-    DDR4_3200_COMMANDS,
-    CommandLevelController,
-    CommandStats,
-    CommandTiming,
-)
 from repro.sim.controller import ControllerStats, MemoryController, MemoryRequest
 from repro.sim.cpu import PEAK_IPC_PER_CYCLE, Core
 from repro.sim.energy import EnergyBreakdown, estimate_energy, estimate_system_energy
@@ -60,10 +54,6 @@ __all__ = [
     "ControllerStats",
     "MemoryController",
     "MemoryRequest",
-    "DDR4_3200_COMMANDS",
-    "CommandLevelController",
-    "CommandStats",
-    "CommandTiming",
     "PEAK_IPC_PER_CYCLE",
     "Core",
     "EnergyBreakdown",

@@ -29,7 +29,6 @@ from repro.sim.memsys.timingcheck import (
     TimingChecker,
     TimingViolation,
     TimingViolationError,
-    commands_from_log,
     record_violations,
 )
 from repro.sim.memsys.topology import (
@@ -55,7 +54,6 @@ __all__ = [
     "TimingChecker",
     "TimingViolation",
     "TimingViolationError",
-    "commands_from_log",
     "record_violations",
     "state_digest",
 ]

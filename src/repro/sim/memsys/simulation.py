@@ -1,12 +1,13 @@
 """The memsys discrete-event loop: cores x `MemorySystem`, resumable.
 
-This is `repro.sim.system.simulate_mix`'s engine, lifted into a class so
-the full simulation state — pending event heap, per-core progress, and
-every bank/rank/channel tracker — can be captured (`snapshot`) and
-restored (`restore`) mid-run.  Snapshots are plain JSON, bound to the
-exact simulation configuration by a content digest (`config_digest`): a
-snapshot taken under different traces, policy, topology, timing, or
-flags refuses to restore instead of silently producing garbage.
+This is `repro.sim.system.simulate_mix`'s engine for both backends,
+lifted into a class so the full simulation state — pending event heap,
+per-core progress, and every bank/rank/channel tracker — can be
+captured (`snapshot`) and restored (`restore`) mid-run.  Snapshots are
+plain JSON, bound to the exact simulation configuration by a content
+digest (`config_digest`): a snapshot taken under different traces,
+policy, topology, timing, backend, or flags refuses to restore instead
+of silently producing garbage.
 
 Determinism contract: a run resumed from any snapshot produces a
 `SystemResult` whose `to_json` form is byte-for-byte identical to the
@@ -51,7 +52,7 @@ _ARRIVE = 0
 _BANK_FREE = 1
 
 #: Bump when the snapshot layout changes; old snapshots refuse to load.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 class MemsysSimulation:
@@ -59,7 +60,8 @@ class MemsysSimulation:
 
     The event loop is the historic `simulate_mix` loop verbatim (arrival
     and bank-free events in a (cycle, sequence) heap); with the default
-    single-channel topology it reproduces `simulate_mix` bit-identically.
+    single-channel topology it reproduces the historic single-controller
+    runs of either backend bit-identically.
 
     Args:
         traces: one workload trace per core.
@@ -70,10 +72,13 @@ class MemsysSimulation:
         window: per-core MLP window.
         fr_fcfs: row hits first, then oldest.
         mechanism: optional reactive mitigation (blocks snapshots).
-        check_timing: run the `TimingChecker` over the implied command
-            stream at end of run and attach violations to the result.
-        enforce_timing: delay accesses until their implied commands are
-            legal (changes schedules; off by default for parity).
+        backend: ``"simple"`` (three latencies) or ``"command"``
+            (explicit DDR4 commands); see `MemorySystem`.
+        check_timing: run the `TimingChecker` over the command stream at
+            end of run and attach violations to the result.
+        enforce_timing: simple backend only; delay accesses until their
+            implied commands are legal (changes schedules; off by
+            default for parity).
     """
 
     def __init__(
@@ -86,6 +91,7 @@ class MemsysSimulation:
         window: int = 4,
         fr_fcfs: bool = True,
         mechanism=None,
+        backend: str = "simple",
         check_timing: bool = False,
         enforce_timing: bool = False,
     ) -> None:
@@ -104,6 +110,7 @@ class MemsysSimulation:
             policy=policy,
             fr_fcfs=fr_fcfs,
             mechanism=mechanism,
+            backend=backend,
             check_timing=check_timing,
             enforce_timing=enforce_timing,
         )
@@ -188,10 +195,7 @@ class MemsysSimulation:
         self.events_processed += 1
 
     def run(
-        self,
-        store: SnapshotStore | None = None,
-        snapshot_every: int = 0,
-        backend_label: str = "memsys",
+        self, store: SnapshotStore | None = None, snapshot_every: int = 0
     ) -> SystemResult:
         """Run to completion; optionally snapshot every N processed events."""
         self.prime()
@@ -200,7 +204,7 @@ class MemsysSimulation:
             policy=self.policy.name,
             cores=len(self.traces),
             banks=self.banks_total,
-            backend=backend_label,
+            backend=self.system.backend,
             channels=self.topology.channels,
             ranks=self.topology.ranks,
         ):
@@ -270,7 +274,8 @@ class MemsysSimulation:
     def config_digest(self) -> str:
         """Content hash of everything that determines this simulation's
         trajectory.  A snapshot only restores into a simulation whose
-        digest matches — same traces, policy, topology, timing, flags."""
+        digest matches — same traces, policy, topology, timing, backend,
+        flags."""
         trace_sig = tuple(
             (
                 t.name,
@@ -303,6 +308,7 @@ class MemsysSimulation:
                 dataclasses.astuple(self.timing),
                 self.window,
                 self.system.fr_fcfs,
+                self.system.backend,
                 self.system.check_timing,
                 self.system.enforce_timing,
             )
@@ -371,7 +377,7 @@ class MemsysSimulation:
         if state.get("config") != self.config_digest():
             raise ValueError(
                 "snapshot was taken under a different simulation "
-                "configuration (traces/policy/topology/timing mismatch)"
+                "configuration (traces/policy/topology/timing/backend mismatch)"
             )
         if len(state["cores"]) != len(self.cores):
             raise ValueError("snapshot core count does not match")

@@ -8,22 +8,34 @@ whenever consecutive data bursts come from different ranks.
 
 It exposes the same duck interface as the single-channel controller
 (``banks`` as a flat list over the global bank space, ``enqueue`` /
-``serve_next`` / ``stats``), so the event loop drives either unchanged.
-With ``channels == ranks == 1`` the scheduling arithmetic reduces
-term-for-term to `MemoryController.serve_next` — the parity suite pins
-the two bit-identical.
+``serve_next`` / ``stats``), so one event loop drives it.  Two backends
+schedule each access on the same bank, rank and channel state:
+
+* ``"simple"`` abstracts an access into one of three latencies (hit /
+  closed / conflict).  With ``channels == ranks == 1`` its arithmetic
+  reduces term for term to `MemoryController.serve_next`; the parity
+  suite pins the two bit-identical.
+* ``"command"`` issues explicit PRE/ACT/RD/WR commands, each at the
+  first cycle its JEDEC spacing rules allow: per bank tRCD, tRP, tRAS,
+  tRC, tRTP and tWR; per (channel, rank) tRRD, tFAW and tWTR; per
+  channel tCCD, data-bus occupancy and tRTRS.
 
 Two optional fidelity layers:
 
-* ``check_timing`` synthesizes the explicit command stream implied by
-  the three-latency schedule (PRE/ACT/RD placements) and runs it through
-  the `TimingChecker` at end of run — an honest account of where the
-  abstract model breaks JEDEC spacing rules.
-* ``enforce_timing`` additionally *delays* each access until its implied
-  commands are legal (per-bank tRC/tRAS/tRTP, per-rank tRRD/tFAW,
-  per-channel tCCD, bus + tRTRS), so a checked run reports zero
-  violations.  Enforcement changes schedules, so it is opt-in; the
+* ``check_timing`` records the command stream (explicit in command mode,
+  implied by the three-latency schedule in simple mode, where every
+  column command is a RD) and runs it through the `TimingChecker` at end
+  of run: in simple mode an honest account of where the abstract model
+  breaks JEDEC spacing rules, in command mode an independent proof that
+  it does not.
+* ``enforce_timing`` (simple mode only) *delays* each access until its
+  implied commands are legal (per-bank tRC/tRAS/tRTP, per-rank
+  tRRD/tFAW, per-channel tCCD, bus + tRTRS), so a checked run reports
+  zero violations.  Enforcement changes schedules, so it is opt-in; the
   default path stays bit-identical to the historic model.
+
+The command mode and enforcement share one ACT floor (`_act_floor`) and
+one column floor (`_column_floor`).
 """
 
 from __future__ import annotations
@@ -38,6 +50,9 @@ from repro.sim.memsys.timingcheck import Command, TimingChecker
 from repro.sim.memsys.topology import SINGLE_CHANNEL, MemsysTopology
 from repro.sim.refreshpolicy import NoRefresh, RefreshPolicy
 from repro.sim.timing import MEMSYS_DDR4_3200, MemsysTiming
+
+#: Controller fidelities `MemorySystem` schedules (see the module docstring).
+BACKENDS = ("simple", "command")
 
 _FAR_PAST = -(10**9)
 
@@ -55,8 +70,9 @@ _REQ_CONFLICT = _REQUESTS.labels(outcome="conflict")
 
 @dataclass
 class _SysBankState:
-    """Open-row and occupancy state of one bank (plus the enforcement
-    trackers; unused — and unchanging — when enforcement is off)."""
+    """Open-row and occupancy state of one bank (plus the ACT and PRE
+    trackers; unused — and unchanging — in simple mode without
+    enforcement)."""
 
     open_row: int | None = None
     free_at: int = 0
@@ -76,13 +92,19 @@ class _SysBankState:
 
 @dataclass
 class _RankState:
-    """ACT bookkeeping of one (channel, rank) for tRRD/tFAW enforcement."""
+    """ACT bookkeeping of one (channel, rank) for tRRD/tFAW, and the end
+    of its last write burst for tWTR."""
 
     last_act: int = _FAR_PAST
     acts: deque = field(default_factory=lambda: deque(maxlen=4))
+    write_data_end: int = _FAR_PAST
 
     def to_json(self) -> dict:
-        return {"last_act": self.last_act, "acts": list(self.acts)}
+        return {
+            "last_act": self.last_act,
+            "acts": list(self.acts),
+            "write_data_end": self.write_data_end,
+        }
 
 
 def _request_to_json(request: MemoryRequest) -> dict:
@@ -125,10 +147,13 @@ class MemorySystem:
         policy: refresh policy (blockers per global bank index).
         fr_fcfs: row hits first, then oldest (else plain FCFS).
         mechanism: optional reactive mitigation (`repro.sim.mechanism`).
-        check_timing: synthesize the implied command stream and check it
-            with `TimingChecker` at end of run.
-        enforce_timing: delay accesses until their implied commands are
-            legal (changes schedules; off by default for parity).
+        backend: ``"simple"`` (three latencies) or ``"command"``
+            (explicit DDR4 commands).
+        check_timing: record the command stream and check it with
+            `TimingChecker` at end of run.
+        enforce_timing: simple mode only; delay accesses until their
+            implied commands are legal (changes schedules; off by
+            default for parity).
     """
 
     def __init__(
@@ -139,15 +164,24 @@ class MemorySystem:
         policy: RefreshPolicy | None = None,
         fr_fcfs: bool = True,
         mechanism=None,
+        backend: str = "simple",
         check_timing: bool = False,
         enforce_timing: bool = False,
     ) -> None:
+        if backend not in BACKENDS:
+            raise ValueError(f"unknown backend {backend!r}; known: {BACKENDS}")
+        if backend == "command" and enforce_timing:
+            raise ValueError(
+                "enforce_timing applies to the simple backend; the command "
+                "backend schedules legal command streams by construction"
+            )
         topology.validate_banks(banks)
         self.topology = topology
         self.timing = timing
         self.policy = policy if policy is not None else NoRefresh()
         self.fr_fcfs = fr_fcfs
         self.mechanism = mechanism
+        self.backend = backend
         self.check_timing = check_timing
         self.enforce_timing = enforce_timing
         self.banks = [_SysBankState() for _ in range(banks)]
@@ -176,9 +210,9 @@ class MemorySystem:
     def serve_next(self, bank_index: int, now: int) -> MemoryRequest | None:
         """Issue the next request of ``bank_index`` (FR-FCFS), if any.
 
-        Mirrors `MemoryController.serve_next` term for term, with the
-        channel-local data bus and the rank-to-rank turnaround replacing
-        the single global bus.
+        In simple mode this mirrors `MemoryController.serve_next` term for
+        term, with the channel-local data bus and the rank-to-rank
+        turnaround replacing the single global bus.
         """
         bank = self.banks[bank_index]
         if not bank.queue:
@@ -193,143 +227,180 @@ class MemorySystem:
         bank.queue.remove(request)
 
         channel, rank = self.topology.locate(bank_index)
-        timing = self.timing
-        start = max(now, bank.free_at, request.arrival)
-        start = self._resolve_blockers(bank_index, start, request.row)
         if bank.open_row is None:
             outcome = "closed"
-            latency = timing.closed_latency()
             self.stats.row_closed += 1
             _REQ_CLOSED.inc()
         elif bank.open_row == request.row:
             outcome = "hit"
-            latency = timing.hit_latency()
             request.row_hit = True
             self.stats.row_hits += 1
             _REQ_HIT.inc()
         else:
             outcome = "conflict"
-            latency = timing.conflict_latency()
             self.stats.row_conflicts += 1
             _REQ_CONFLICT.inc()
-
-        # Data-bus serialization: the burst must not overlap another burst
-        # on this channel, plus the rank-to-rank turnaround when the bus
-        # switches ranks.  (With one rank the turnaround never applies and
-        # this is exactly the single-channel controller's bus step.)
+        # Rank-to-rank turnaround when the channel's data bus switches
+        # ranks (with one rank it never applies).
         turnaround = 0
         previous_rank = self.last_data_rank[channel]
         if previous_rank is not None and previous_rank != rank:
-            turnaround = timing.t_rtrs
-        if self.enforce_timing:
-            start = self._enforce(
-                bank_index,
-                channel,
-                rank,
-                bank,
-                outcome,
-                start,
-                latency,
-                turnaround,
-                request.row,
-            )
-        else:
-            data_start = start + latency - timing.t_burst
-            if data_start < self.channel_free_at[channel] + turnaround:
-                shift = self.channel_free_at[channel] + turnaround - data_start
-                start += shift
-                start = self._resolve_blockers(bank_index, start, request.row)
-        completion = start + latency
+            turnaround = self.timing.t_rtrs
 
-        request.issue = start
+        start = max(now, bank.free_at, request.arrival)
+        if self.backend == "command":
+            is_write = request.is_write
+            pre, act, column, completion = self._schedule_commands(
+                bank_index, bank, channel, rank, outcome, start, request, turnaround
+            )
+            request.issue = column
+            bank.free_at = max(column + self.timing.t_ccd, completion)
+        else:
+            is_write = False  # the three-latency model times every access as a read
+            start, completion = self._schedule_latency(
+                bank_index, bank, channel, rank, outcome, start, request.row, turnaround
+            )
+            request.issue = start
+            bank.free_at = completion
+            timing = self.timing
+            column = completion - timing.t_cl - timing.t_burst
+            act = column - timing.t_rcd if outcome != "hit" else None
+            pre = start if outcome == "conflict" else None
+
         request.completion = completion
         bank.open_row = request.row
-        bank.free_at = completion
-        if self.mechanism is not None and not request.row_hit:
-            extra = self.mechanism.on_activate(request.bank, request.row, start)
+        if self.mechanism is not None and outcome != "hit":
+            extra = self.mechanism.on_activate(request.bank, request.row, request.issue)
             bank.free_at += extra
         self.channel_free_at[channel] = completion
         if turnaround:
             self.counters.channels[channel].turnarounds += 1
         self.last_data_rank[channel] = rank
         self.stats.requests += 1
-        self._account(bank_index, channel, rank, bank, outcome, start)
+        self._account(
+            bank_index, channel, rank, outcome, pre, act, column, is_write, completion
+        )
         return request
 
     # ------------------------------------------------------------------
-    def _implied_commands(
-        self, outcome: str, start: int
-    ) -> tuple[int | None, int | None, int]:
-        """(pre, act, column) cycles implied by an access at ``start``."""
+    def _act_floor(self, bank: _SysBankState, rank_state: _RankState) -> int:
+        """Earliest ACT on ``bank`` under tRC, tRRD and tFAW."""
         timing = self.timing
-        if outcome == "conflict":
-            return start, start + timing.t_rp, start + timing.t_rp + timing.t_rcd
-        if outcome == "closed":
-            return None, start, start + timing.t_rcd
-        return None, None, start
+        floor = max(bank.act_at + timing.t_rc, rank_state.last_act + timing.t_rrd)
+        if len(rank_state.acts) == 4:
+            floor = max(floor, rank_state.acts[0] + timing.t_faw)
+        return floor
 
-    def _enforce(
+    def _column_floor(self, channel: int, data_latency: int, turnaround: int) -> int:
+        """Earliest column command on ``channel`` under tCCD whose burst,
+        ``data_latency`` cycles later, clears the data bus (plus tRTRS on
+        a rank switch)."""
+        return max(
+            self.last_column_at[channel] + self.timing.t_ccd,
+            self.channel_free_at[channel] + turnaround - data_latency,
+        )
+
+    def _schedule_latency(
         self,
         bank_index: int,
+        bank: _SysBankState,
         channel: int,
         rank: int,
-        bank: _SysBankState,
         outcome: str,
         start: int,
-        latency: int,
-        turnaround: int,
         row: int,
-    ) -> int:
-        """Earliest start >= ``start`` whose implied commands are legal.
+        turnaround: int,
+    ) -> tuple[int, int]:
+        """(start, completion) of a three-latency access."""
+        timing = self.timing
+        if outcome == "closed":
+            latency = timing.closed_latency()
+        elif outcome == "hit":
+            latency = timing.hit_latency()
+        else:
+            latency = timing.conflict_latency()
+        start = self._resolve_blockers(bank_index, start, row)
+        if self.enforce_timing:
+            # The implied commands sit at fixed offsets from ``start``:
+            # PRE at 0 (conflict), the column command at ``column_offset``
+            # and the ACT tRCD before it.  Every rule is a minimum
+            # spacing, so the earliest legal start is the largest floor,
+            # moved past any refresh window (moving later breaks none).
+            column_offset = latency - timing.t_cl - timing.t_burst
+            floor = self._column_floor(channel, timing.t_cl, turnaround) - column_offset
+            if outcome != "hit":
+                rank_state = self.rank_state[channel][rank]
+                act_offset = column_offset - timing.t_rcd
+                floor = max(floor, self._act_floor(bank, rank_state) - act_offset)
+            if outcome == "conflict":
+                floor = max(floor, bank.ready_for_pre)
+            if floor > start:
+                start = self._resolve_blockers(bank_index, floor, row)
+        else:
+            # Data-bus serialization: the burst must not overlap another
+            # burst on this channel, plus the rank-to-rank turnaround.
+            # (With one rank this is exactly the single-channel
+            # controller's bus step.)
+            data_start = start + latency - timing.t_burst
+            if data_start < self.channel_free_at[channel] + turnaround:
+                shift = self.channel_free_at[channel] + turnaround - data_start
+                start += shift
+                start = self._resolve_blockers(bank_index, start, row)
+        return start, start + latency
 
-        All constraints are minimum spacings, so delaying never breaks an
-        already-satisfied one; the loop monotonically raises ``start``
-        until blockers, the data bus, and every command constraint agree.
-        """
+    def _schedule_commands(
+        self,
+        bank_index: int,
+        bank: _SysBankState,
+        channel: int,
+        rank: int,
+        outcome: str,
+        start: int,
+        request: MemoryRequest,
+        turnaround: int,
+    ) -> tuple[int | None, int | None, int, int]:
+        """(pre, act, column, data end) of one access issued as explicit
+        commands, each at its first legal, unblocked cycle."""
         timing = self.timing
         rank_state = self.rank_state[channel][rank]
-        pre_off, act_off, col_off = 0, None, latency - timing.t_cl - timing.t_burst
+        row = request.row
+        pre = act = None
+        earliest = start
         if outcome == "conflict":
-            act_off = timing.t_rp
-        elif outcome == "closed":
-            act_off = 0
-        while True:
-            candidate = start
-            if outcome == "conflict":
-                candidate = max(candidate, bank.ready_for_pre - pre_off)
-            if act_off is not None:
-                candidate = max(
-                    candidate,
-                    bank.act_at + timing.t_rc - act_off,
-                    rank_state.last_act + timing.t_rrd - act_off,
-                )
-                if len(rank_state.acts) == 4:
-                    candidate = max(
-                        candidate, rank_state.acts[0] + timing.t_faw - act_off
-                    )
-            candidate = max(
-                candidate, self.last_column_at[channel] + timing.t_ccd - col_off
+            # PRE after tRAS and the read (tRTP) or write (tWR) recovery.
+            pre = max(earliest, bank.ready_for_pre)
+            pre = self._resolve_blockers(bank_index, pre, row)
+            earliest = pre + timing.t_rp
+        if outcome != "hit":
+            act = max(earliest, self._act_floor(bank, rank_state))
+            act = self._resolve_blockers(bank_index, act, row)
+            earliest = act + timing.t_rcd
+        if request.is_write:
+            data_latency = timing.t_cwl
+            floor = self._column_floor(channel, data_latency, turnaround)
+        else:
+            data_latency = timing.t_cl
+            floor = max(
+                self._column_floor(channel, data_latency, turnaround),
+                rank_state.write_data_end + timing.t_wtr,
             )
-            data_start = candidate + latency - timing.t_burst
-            bus_min = self.channel_free_at[channel] + turnaround
-            if data_start < bus_min:
-                candidate += bus_min - data_start
-            candidate = self._resolve_blockers(bank_index, candidate, row)
-            if candidate == start:
-                return start
-            start = candidate
+        column = self._resolve_blockers(bank_index, max(earliest, floor), row)
+        return pre, act, column, column + data_latency + timing.t_burst
 
     def _account(
         self,
         bank_index: int,
         channel: int,
         rank: int,
-        bank: _SysBankState,
         outcome: str,
-        start: int,
+        pre: int | None,
+        act: int | None,
+        column: int,
+        is_write: bool,
+        data_end: int,
     ) -> None:
         """Fold one served access into counters, trackers, and (when
-        checking) the synthesized command stream."""
+        checking) the command stream."""
         timing = self.timing
         rank_counters = self.counters.ranks[channel][rank]
         rank_counters.requests += 1
@@ -340,19 +411,24 @@ class MemorySystem:
             rank_counters.row_closed += 1
         else:
             rank_counters.row_conflicts += 1
-        pre, act, column = self._implied_commands(outcome, start)
         channel_counters = self.counters.channels[channel]
         channel_counters.commands += 1 + (pre is not None) + (act is not None)
         channel_counters.column_commands += 1
-        if self.enforce_timing:
+        if self.backend == "command" or self.enforce_timing:
+            bank = self.banks[bank_index]
             rank_state = self.rank_state[channel][rank]
             if act is not None:
                 bank.act_at = act
                 rank_state.last_act = act
                 rank_state.acts.append(act)
-                bank.ready_for_pre = max(act + timing.t_ras, column + timing.t_rtp)
+            if is_write:
+                recovery = data_end + timing.t_wr
+                rank_state.write_data_end = data_end
             else:
-                bank.ready_for_pre = max(bank.ready_for_pre, column + timing.t_rtp)
+                recovery = column + timing.t_rtp
+            bank.ready_for_pre = max(
+                bank.ready_for_pre, bank.act_at + timing.t_ras, recovery
+            )
             self.last_column_at[channel] = column
         if self.check_timing:
             locate = (channel, rank, bank_index)
@@ -360,10 +436,10 @@ class MemorySystem:
                 self.commands.append(Command("PRE", *locate, pre))
             if act is not None:
                 self.commands.append(Command("ACT", *locate, act))
-            self.commands.append(Command("RD", *locate, column))
+            self.commands.append(Command("WR" if is_write else "RD", *locate, column))
 
     def run_checker(self, strict: bool = False) -> TimingChecker:
-        """Check the synthesized command stream collected so far."""
+        """Check the command stream collected so far."""
         checker = TimingChecker(self.timing, strict=strict)
         checker.check(self.commands)
         checker.record()
@@ -439,6 +515,7 @@ class MemorySystem:
             for rank, payload in zip(channel, payloads):
                 rank.last_act = int(payload["last_act"])
                 rank.acts = deque((int(v) for v in payload["acts"]), maxlen=4)
+                rank.write_data_end = int(payload["write_data_end"])
         stats = state["stats"]
         self.stats = ControllerStats(
             requests=int(stats["requests"]),

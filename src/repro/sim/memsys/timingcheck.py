@@ -12,10 +12,9 @@ per rank     tRRD (ACT->ACT), tFAW (four-activate window),
 per channel  tCCD (column->column), data-bus burst overlap ("bus"),
              tRTRS (rank-to-rank data turnaround).
 
-Constraints whose parameters the timing object lacks are skipped — the
-checker accepts both `repro.sim.timing.MemsysTiming` (read-modeled
-streams, tRTRS/tREFI) and `repro.sim.cmdlevel.CommandTiming`
-(write-aware streams, tWTR/tWR) unchanged.
+Constraints whose parameters the timing object lacks are skipped, so a
+`repro.sim.timing.MemsysTiming` (which carries every one) or any object
+with a subset of its field names can be checked against.
 
 Violations are *structured records*, not log lines: each carries the
 offending command, the constraint name, the reference command it
@@ -161,8 +160,8 @@ class TimingChecker:
 
     Args:
         timing: a timing object; constraints are resolved from the
-            attributes it has (`MemsysTiming`, `CommandTiming`, or any
-            duck with the same field names).
+            attributes it has (`MemsysTiming`, or any duck with a subset
+            of its field names).
         strict: when True, `check` raises `TimingViolationError` at the
             first violation instead of collecting it.
     """
@@ -338,14 +337,3 @@ def record_violations(violations: list[TimingViolation]) -> None:
             constraint=violation.constraint,
             channel=str(violation.command.channel),
         ).inc()
-
-
-def commands_from_log(
-    log: list[tuple[str, int, int]], channel: int = 0, rank: int = 0
-) -> list[Command]:
-    """Adapt a `CommandLevelController` ``command_log`` — (kind, bank,
-    cycle) tuples of one single-rank channel — into checker commands."""
-    return [
-        Command(kind=kind, channel=channel, rank=rank, bank=bank, cycle=cycle)
-        for kind, bank, cycle in log
-    ]

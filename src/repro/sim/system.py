@@ -1,16 +1,17 @@
 """Multi-core memory-system simulation: the Fig. 23 engine.
 
-Discrete-event loop coupling N cores (`repro.sim.cpu.Core`) to a memory
-controller.  Cores issue requests subject to their MLP window; the
-controller arbitrates FR-FCFS around the refresh policy's blocking
-windows; completions unblock further issues.
+`simulate_mix` couples N cores (`repro.sim.cpu.Core`) to a memory
+controller in one discrete-event loop (`repro.sim.memsys.MemsysSimulation`).
+Cores issue requests subject to their MLP window; the controller
+arbitrates FR-FCFS around the refresh policy's blocking windows;
+completions unblock further issues.
 
-The ``"simple"`` (three-latency) backend runs on the memory-system model
-(`repro.sim.memsys`): with the default single-channel topology it is
-bit-identical to the historic `MemoryController` loop (pinned by the
-parity suite), and a ``topology`` argument scales the same mix over
-R ranks x C channels.  The ``"command"`` backend keeps the explicit DDR4
-command scheduler (`repro.sim.cmdlevel`, single-channel).
+Both controller fidelities are modes of `repro.sim.memsys.MemorySystem`:
+``"simple"`` (three latencies; with the default single-channel topology
+bit-identical to the historic `MemoryController` loop, pinned by the
+parity suite) and ``"command"`` (explicit DDR4 PRE/ACT/RD/WR scheduling).
+Either runs over any R ranks x C channels ``topology`` and under the
+`TimingChecker`.
 
 Outputs per-core IPC, from which weighted speedups against a baseline
 configuration (the paper normalizes to a hypothetical No Refresh system)
@@ -20,35 +21,18 @@ are computed.
 from __future__ import annotations
 
 import dataclasses
-import heapq
 
-from repro import obs
-from repro.obs import state as _obs_state
-from repro.sim.controller import MemoryRequest
-from repro.sim.cpu import Core
 from repro.sim.refreshpolicy import RefreshPolicy
 from repro.sim.results import SimulationResult, SystemResult
-from repro.sim.timing import CONTROLLER_HZ, DDR4_3200, MemsysTiming, SimTiming
+from repro.sim.timing import DDR4_3200, MemsysTiming, SimTiming
 from repro.workloads.trace import WorkloadTrace
 
 __all__ = ["SimulationResult", "SystemResult", "simulate_mix"]
 
-_CYCLES = obs.counter(
-    "sim_cycles_total", "Controller cycles simulated across completed mixes."
-)
-_REFRESH_OPS = obs.counter(
-    "refresh_ops_total",
-    "Refresh operations issued over simulated time, by refresh policy.",
-    labelnames=("policy",),
-)
-
-_ARRIVE = 0
-_BANK_FREE = 1
-
 
 def _memsys_timing(timing: SimTiming) -> MemsysTiming:
     """Lift a plain `SimTiming` to `MemsysTiming` (memsys defaults for the
-    rank/channel constraints it does not carry)."""
+    rank/channel/write constraints it does not carry)."""
     if isinstance(timing, MemsysTiming):
         return timing
     fields = {
@@ -69,138 +53,34 @@ def simulate_mix(
     topology=None,
     check_timing: bool = False,
     enforce_timing: bool = False,
-) -> SimulationResult:
+) -> SystemResult:
     """Run one multiprogrammed mix to completion under ``policy`` (plus an
     optional reactive mitigation mechanism, see `repro.sim.mechanism`).
 
     ``backend`` selects the controller fidelity: ``"simple"`` (three-latency
-    model over `repro.sim.memsys`) or ``"command"`` (explicit DDR4 command
-    scheduling with tRRD/tFAW/tWTR constraints, `repro.sim.cmdlevel`).
+    model) or ``"command"`` (explicit DDR4 command scheduling with
+    tRRD/tFAW/tWTR/tWR constraints).
 
-    ``topology`` (simple backend only) spreads the bank space over a
-    `repro.sim.memsys.MemsysTopology`; ``check_timing``/``enforce_timing``
-    engage the memsys `TimingChecker` (see docs/MEMSYS.md).
+    ``topology`` spreads the bank space over a
+    `repro.sim.memsys.MemsysTopology`; ``check_timing`` runs the memsys
+    `TimingChecker` over the command stream and ``enforce_timing`` (simple
+    backend) delays accesses until their implied commands are legal (see
+    docs/MEMSYS.md).
     """
-    if backend == "simple":
-        from repro.sim.memsys.simulation import MemsysSimulation
-        from repro.sim.memsys.topology import SINGLE_CHANNEL
+    from repro.sim.memsys.simulation import MemsysSimulation
+    from repro.sim.memsys.topology import SINGLE_CHANNEL
 
-        simulation = MemsysSimulation(
-            traces,
-            policy,
-            banks=banks,
-            topology=topology if topology is not None else SINGLE_CHANNEL,
-            timing=_memsys_timing(timing),
-            window=window,
-            fr_fcfs=fr_fcfs,
-            mechanism=mechanism,
-            check_timing=check_timing,
-            enforce_timing=enforce_timing,
-        )
-        return simulation.run(backend_label="simple")
-    if backend != "command":
-        raise ValueError(f"unknown backend {backend!r}")
-    if topology is not None and (topology.channels, topology.ranks) != (1, 1):
-        raise ValueError(
-            "the command backend is single-channel; use backend='simple' "
-            "for multi-channel/multi-rank topologies"
-        )
-    if check_timing or enforce_timing:
-        raise ValueError(
-            "check_timing/enforce_timing apply to the simple backend; the "
-            "command backend already schedules legal command streams"
-        )
-    from repro.sim.cmdlevel import CommandLevelController
-
-    controller = CommandLevelController(
-        banks=banks, policy=policy, fr_fcfs=fr_fcfs, mechanism=mechanism,
-    )
-    cores = [Core(core_id=i, trace=t, window=window) for i, t in enumerate(traces)]
-    events: list[tuple[int, int, int, tuple]] = []
-    sequence = 0
-
-    def push(cycle: int, kind: int, payload: tuple) -> None:
-        nonlocal sequence
-        heapq.heappush(events, (cycle, sequence, kind, payload))
-        sequence += 1
-
-    def pump_core(core: Core) -> None:
-        """Schedule every request the core can currently commit to."""
-        while core.issuable():
-            cycle = core.next_issue_time()
-            bank, row = core.trace.request(core.next_index)
-            request = MemoryRequest(
-                core=core.core_id,
-                index=core.next_index,
-                bank=bank,
-                row=row,
-                arrival=cycle,
-                is_write=core.trace.is_write(core.next_index),
-            )
-            core.next_index += 1
-            core.outstanding += 1
-            core.last_issue = cycle
-            push(cycle, _ARRIVE, (request,))
-
-    for core in cores:
-        pump_core(core)
-
-    last_cycle = 0
-    with obs.span(
-        "sim.mix", policy=policy.name, cores=len(traces), banks=banks,
+    simulation = MemsysSimulation(
+        traces,
+        policy,
+        banks=banks,
+        topology=topology if topology is not None else SINGLE_CHANNEL,
+        timing=_memsys_timing(timing),
+        window=window,
+        fr_fcfs=fr_fcfs,
+        mechanism=mechanism,
         backend=backend,
-    ):
-        while events:
-            cycle, _, kind, payload = heapq.heappop(events)
-            last_cycle = max(last_cycle, cycle)
-            if kind == _ARRIVE:
-                (request,) = payload
-                controller.enqueue(request)
-                bank = controller.banks[request.bank]
-                if bank.free_at <= cycle:
-                    _serve(controller, request.bank, cycle, push, cores,
-                           pump_core)
-                else:
-                    # The bank is occupied past its last scheduled wake-up
-                    # (mitigation mechanisms extend free_at after the access);
-                    # make sure someone retries once it frees up.
-                    push(bank.free_at, _BANK_FREE, (request.bank,))
-            else:  # _BANK_FREE
-                (bank_index,) = payload
-                _serve(controller, bank_index, cycle, push, cores, pump_core)
-
-    for core in cores:
-        if core.finish_cycle is None:
-            raise RuntimeError(f"core {core.core_id} did not finish its trace")
-
-    if _obs_state.enabled:
-        _CYCLES.inc(last_cycle)
-        # Refresh operations issued over this mix's simulated wall time.
-        _REFRESH_OPS.labels(policy=policy.name).inc(
-            policy.refresh_events_per_second(banks) * last_cycle / CONTROLLER_HZ
-        )
-
-    stats = controller.stats
-    return SimulationResult(
-        policy_name=policy.name,
-        ipcs=[core.ipc() for core in cores],
-        cycles=last_cycle,
-        requests=stats.requests,
-        row_hit_rate=stats.row_hits / stats.requests if stats.requests else 0.0,
-        refresh_events_per_second=policy.refresh_events_per_second(banks),
-        refresh_rows_per_second=policy.refresh_rows_per_second(banks),
+        check_timing=check_timing,
+        enforce_timing=enforce_timing,
     )
-
-
-def _serve(controller, bank_index, cycle, push, cores, pump_core) -> None:
-    served = controller.serve_next(bank_index, cycle)
-    if served is None:
-        # Maybe only future arrivals are queued: retry at the earliest one.
-        queue = controller.banks[bank_index].queue
-        if queue:
-            push(min(r.arrival for r in queue), _BANK_FREE, (bank_index,))
-        return
-    push(served.completion, _BANK_FREE, (bank_index,))
-    core = cores[served.core]
-    core.on_complete(served.index, served.completion)
-    pump_core(core)
+    return simulation.run()

@@ -73,9 +73,9 @@ DDR4_3200 = SimTiming()
 
 @dataclass(frozen=True)
 class MemsysTiming(SimTiming):
-    """`SimTiming` extended with the rank- and channel-level constraints
-    the multi-rank/multi-channel memory system (`repro.sim.memsys`) models
-    and its `TimingChecker` asserts.
+    """`SimTiming` extended with the rank-, channel- and write-level
+    constraints the memory system (`repro.sim.memsys`) schedules and its
+    `TimingChecker` asserts.
 
     Attributes:
         t_rrd: ACT -> ACT across banks of one rank.
@@ -83,6 +83,9 @@ class MemsysTiming(SimTiming):
         t_ccd: column command -> column command on one channel.
         t_rtp: read -> PRE recovery.
         t_rtrs: rank-to-rank data-bus turnaround on one channel.
+        t_cwl: WR -> first write data.
+        t_wr: end of write data -> PRE (write recovery).
+        t_wtr: end of write data -> RD on the same rank.
     """
 
     t_rrd: int = 8
@@ -90,10 +93,15 @@ class MemsysTiming(SimTiming):
     t_ccd: int = 8
     t_rtp: int = 12
     t_rtrs: int = 4
+    t_cwl: int = 16
+    t_wr: int = 24
+    t_wtr: int = 12
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        for name in ("t_rrd", "t_faw", "t_ccd", "t_rtp", "t_rtrs"):
+        for name in (
+            "t_rrd", "t_faw", "t_ccd", "t_rtp", "t_rtrs", "t_cwl", "t_wr", "t_wtr"
+        ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.t_faw < self.t_rrd:

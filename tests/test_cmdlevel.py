@@ -1,19 +1,26 @@
-"""Command-level DDR4 controller: constraint enforcement and system runs."""
+"""Command-level DDR4 scheduling (`MemorySystem`'s ``"command"`` backend):
+constraint enforcement and system runs."""
 
 import pytest
 
 from repro.sim import (
-    CommandLevelController,
     DDR4_3200,
-    DDR4_3200_COMMANDS,
+    MEMSYS_DDR4_3200,
     MemoryRequest,
+    MemorySystem,
+    MemsysTiming,
     NoRefresh,
     PeriodicRefresh,
+    SimTiming,
     simulate_mix,
 )
 from repro.workloads import WorkloadTrace, make_mix
 
-T = DDR4_3200_COMMANDS
+T = MEMSYS_DDR4_3200
+
+
+def command_system(banks, **kwargs):
+    return MemorySystem(banks=banks, backend="command", **kwargs)
 
 
 def make_request(index=0, bank=0, row=5, arrival=0, is_write=False):
@@ -25,24 +32,24 @@ def make_request(index=0, bank=0, row=5, arrival=0, is_write=False):
 
 class TestConstraints:
     def test_closed_bank_access_latency(self):
-        controller = CommandLevelController(banks=2)
+        controller = command_system(2)
         controller.enqueue(make_request())
         served = controller.serve_next(0, 0)
         # ACT at 0, RD at tRCD, data at tRCD + tCL + tBURST.
         assert served.completion == T.t_rcd + T.t_cl + T.t_burst
-        assert controller.stats.acts == 1
+        assert controller.stats.activations == 1
 
     def test_row_hit_skips_activation(self):
-        controller = CommandLevelController(banks=1)
+        controller = command_system(1)
         controller.enqueue(make_request(index=0))
         controller.serve_next(0, 0)
         controller.enqueue(make_request(index=1, arrival=500))
         served = controller.serve_next(0, 500)
         assert served.row_hit
-        assert controller.stats.acts == 1  # no second ACT
+        assert controller.stats.activations == 1  # no second ACT
 
     def test_conflict_issues_pre_with_recovery(self):
-        controller = CommandLevelController(banks=1)
+        controller = command_system(1)
         controller.enqueue(make_request(index=0, row=5))
         first = controller.serve_next(0, 0)
         controller.enqueue(make_request(index=1, row=9, arrival=0))
@@ -50,10 +57,10 @@ class TestConstraints:
         # PRE cannot happen before tRAS after the ACT; then tRP + tRCD + tCL.
         earliest = T.t_ras + T.t_rp + T.t_rcd + T.t_cl + T.t_burst
         assert second.completion >= earliest
-        assert controller.stats.pres == 1
+        assert controller.stats.row_conflicts == 1
 
     def test_trrd_separates_acts_across_banks(self):
-        controller = CommandLevelController(banks=4)
+        controller = command_system(4)
         acts = []
         for bank in range(4):
             controller.enqueue(make_request(index=bank, bank=bank))
@@ -63,7 +70,7 @@ class TestConstraints:
         assert all(gap >= T.t_rrd for gap in gaps)
 
     def test_tfaw_limits_act_bursts(self):
-        controller = CommandLevelController(banks=8)
+        controller = command_system(8)
         acts = []
         for bank in range(5):
             controller.enqueue(make_request(index=bank, bank=bank))
@@ -73,7 +80,7 @@ class TestConstraints:
         assert acts[4] >= acts[0] + T.t_faw
 
     def test_write_to_read_turnaround(self):
-        controller = CommandLevelController(banks=2)
+        controller = command_system(2)
         controller.enqueue(make_request(index=0, bank=0, is_write=True))
         write = controller.serve_next(0, 0)
         controller.enqueue(make_request(index=1, bank=1, arrival=0))
@@ -82,7 +89,7 @@ class TestConstraints:
         assert read.issue >= write_data_end + T.t_wtr
 
     def test_write_recovery_delays_precharge(self):
-        controller = CommandLevelController(banks=1)
+        controller = command_system(1)
         controller.enqueue(make_request(index=0, row=5, is_write=True))
         write = controller.serve_next(0, 0)
         controller.enqueue(make_request(index=1, row=9, arrival=0))
@@ -92,20 +99,21 @@ class TestConstraints:
         assert pre_at >= write.completion + T.t_wr
 
     def test_refresh_blockers_respected(self):
-        controller = CommandLevelController(
-            banks=1, policy=PeriodicRefresh(DDR4_3200)
-        )
+        controller = command_system(1, policy=PeriodicRefresh(DDR4_3200))
         controller.enqueue(make_request())
         served = controller.serve_next(0, 0)
         assert served.issue >= DDR4_3200.t_rfc
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            CommandLevelController(banks=0)
-        from repro.sim import CommandTiming
-
+            command_system(0)
         with pytest.raises(ValueError):
-            CommandTiming(t_rcd=0)
+            MemsysTiming(t_rcd=0)
+        for name in ("t_cwl", "t_wr", "t_wtr"):
+            with pytest.raises(ValueError, match=name):
+                MemsysTiming(**{name: 0})
+        with pytest.raises(ValueError, match="enforce_timing"):
+            command_system(1, enforce_timing=True)
 
 
 class TestSystemIntegration:
@@ -148,3 +156,13 @@ class TestSystemIntegration:
     def test_unknown_backend(self, mix):
         with pytest.raises(ValueError):
             simulate_mix(mix, NoRefresh(), backend="quantum")
+
+    def test_timing_argument_reaches_command_backend(self):
+        """Slower DRAM timing must slow the command backend down, as it
+        does the simple one (the command level once ignored ``timing``)."""
+        mix = make_mix(1, length=300)
+        slow = SimTiming(t_rcd=40, t_cl=40, t_rp=40)
+        for backend in ("simple", "command"):
+            default = simulate_mix(mix, NoRefresh(), backend=backend)
+            slowed = simulate_mix(mix, NoRefresh(), backend=backend, timing=slow)
+            assert slowed.cycles > default.cycles, backend

@@ -1,8 +1,11 @@
 """Property-based JEDEC-constraint checking on random command schedules.
 
-Feed the command-level controller random request streams, collect its full
-command log, and verify EVERY inter-command constraint on the resulting
-schedule — the strongest possible correctness statement for the scheduler.
+Feed the command-level scheduler (`MemorySystem`'s ``"command"`` backend)
+random request streams, collect the full command stream it records under
+``check_timing``, and verify EVERY inter-command constraint on the
+resulting schedule with a checker written independently of both the
+scheduler and `TimingChecker` — the strongest possible correctness
+statement for the scheduler.
 """
 
 from __future__ import annotations
@@ -10,15 +13,16 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import CommandLevelController, DDR4_3200_COMMANDS, MemoryRequest
+from repro.sim import MEMSYS_DDR4_3200, MemoryRequest, MemorySystem
 
-T = DDR4_3200_COMMANDS
+T = MEMSYS_DDR4_3200
 
 
-def run_schedule(accesses: list[tuple[int, int, bool]]):
-    """Serve a list of (bank, row, is_write) accesses back-to-back and
-    return the command log."""
-    controller = CommandLevelController(banks=4, log_commands=True)
+def run_schedule(accesses: list[tuple[int, int, bool]], at_once: bool = False):
+    """Serve a list of (bank, row, is_write) accesses back-to-back (or all
+    arriving at cycle 0 when ``at_once``) and return the (kind, bank,
+    cycle) command stream."""
+    controller = MemorySystem(banks=8, backend="command", check_timing=True)
     now = 0
     for index, (bank, row, is_write) in enumerate(accesses):
         controller.enqueue(
@@ -27,8 +31,9 @@ def run_schedule(accesses: list[tuple[int, int, bool]]):
         )
         served = controller.serve_next(bank, now)
         assert served is not None
-        now = max(now, served.completion)
-    return controller.command_log
+        if not at_once:
+            now = max(now, served.completion)
+    return [(c.kind, c.bank, c.cycle) for c in controller.commands]
 
 
 def check_constraints(log: list[tuple[str, int, int]]) -> None:
@@ -64,7 +69,7 @@ def check_constraints(log: list[tuple[str, int, int]]) -> None:
 
 access_strategy = st.lists(
     st.tuples(
-        st.integers(0, 3),  # bank
+        st.integers(0, 7),  # bank
         st.integers(0, 5),  # row (small space: lots of conflicts and hits)
         st.booleans(),  # is_write
     ),
@@ -74,9 +79,9 @@ access_strategy = st.lists(
 
 
 @settings(max_examples=60, deadline=None)
-@given(access_strategy)
-def test_random_schedules_respect_all_constraints(accesses):
-    check_constraints(run_schedule(accesses))
+@given(access_strategy, st.booleans())
+def test_random_schedules_respect_all_constraints(accesses, at_once):
+    check_constraints(run_schedule(accesses, at_once))
 
 
 def test_dense_single_bank_conflicts():
@@ -95,5 +100,8 @@ def test_write_read_interleave():
 
 
 def test_log_disabled_by_default():
-    controller = CommandLevelController(banks=1)
-    assert controller.command_log is None
+    """The command stream is recorded only when it will be checked."""
+    controller = MemorySystem(banks=1, backend="command")
+    controller.enqueue(MemoryRequest(core=0, index=0, bank=0, row=0, arrival=0))
+    assert controller.serve_next(0, 0) is not None
+    assert controller.commands == []

@@ -198,15 +198,6 @@ class TestSingleChannelParity:
         second = simulate_mix(traces, NoRefresh(), topology=MemsysTopology(2, 2))
         assert json.dumps(first.to_json()) == json.dumps(second.to_json())
 
-    def test_command_backend_rejects_topology(self):
-        with pytest.raises(ValueError, match="command"):
-            simulate_mix(
-                _traces(cores=1, length=50),
-                NoRefresh(),
-                backend="command",
-                topology=MemsysTopology(channels=2),
-            )
-
 
 class TestMultiChannel:
     def test_work_spreads_over_channels_and_conserves_requests(self):
@@ -273,20 +264,31 @@ class TestCounters:
             assert 0.0 <= row["command_bus_efficiency"] <= 1.0
 
     def test_publish_feeds_obs_gauges(self):
-        obs.enable()
-        simulation = MemsysSimulation(
-            _traces(cores=2, length=200), NoRefresh(), topology=MemsysTopology(2, 1)
-        )
-        simulation.run()
-        families = {family["name"]: family for family in obs.snapshot()["metrics"]}
-        busy = families["sim_data_bus_busy_cycles_total"]["samples"]
-        labelled = {
-            (sample["labels"]["channel"], sample["labels"]["rank"]): sample["value"]
-            for sample in busy
-        }
-        assert labelled[("0", "all")] == labelled[("0", "0")]
-        assert "sim_channel_utilization" in families
-        assert "sim_row_hit_ratio" in families
+        for backend in ("simple", "command"):
+            obs.reset()
+            obs.enable()
+            simulation = MemsysSimulation(
+                _traces(cores=2, length=200),
+                NoRefresh(),
+                topology=MemsysTopology(2, 1),
+                backend=backend,
+            )
+            simulation.run()
+            families = {family["name"]: family for family in obs.snapshot()["metrics"]}
+            busy = families["sim_data_bus_busy_cycles_total"]["samples"]
+            labelled = {
+                (sample["labels"]["channel"], sample["labels"]["rank"]): sample["value"]
+                for sample in busy
+            }
+            assert labelled[("0", "all")] == labelled[("0", "0")], backend
+            assert "sim_channel_utilization" in families
+            assert "sim_row_hit_ratio" in families
+            outcomes = families["sim_requests_total"]["samples"]
+            served = sum(sample["value"] for sample in outcomes)
+            assert served == simulation.system.stats.requests, backend
+            assert families["sim_energy_mj"]["samples"], backend
+            (span,) = [s for s in obs.finished_spans() if s["name"] == "sim.mix"]
+            assert span["attributes"]["backend"] == backend
 
 
 class TestSystemEnergy:

@@ -3,9 +3,9 @@
 The contract under test: a simulation restored from a snapshot taken at
 *any* point produces a `SystemResult` whose JSON form is byte-for-byte
 identical to the uninterrupted run's (the property test sweeps the cut
-point and topology), and a snapshot file can never restore unless its
-content hashes to its stamp and its configuration digest matches the
-simulation it restores into.
+point, the topology and the backend), and a snapshot file can never
+restore unless its content hashes to its stamp and its configuration
+digest matches the simulation it restores into.
 """
 
 from __future__ import annotations
@@ -25,14 +25,21 @@ from repro.sim.memsys import (
     state_digest,
 )
 from repro.sim.mechanism import NoMechanism
-from repro.sim.refreshpolicy import NoRefresh, PeriodicRefresh, smd_raidr_policy
+from repro.sim.refreshpolicy import PeriodicRefresh, smd_raidr_policy
 from repro.sim.timing import DDR4_3200
 from repro.workloads.trace import WorkloadTrace
 
 
 def _traces(cores: int = 2, length: int = 150, locality: float = 0.4):
+    # Writes matter only to the command backend (tWR/tWTR tracking).
     return [
-        WorkloadTrace(name=f"snap-{i}", mpki=40.0, locality=locality, length=length)
+        WorkloadTrace(
+            name=f"snap-{i}",
+            mpki=40.0,
+            locality=locality,
+            length=length,
+            write_fraction=0.3,
+        )
         for i in range(cores)
     ]
 
@@ -55,10 +62,17 @@ def _result_bytes(simulation: MemsysSimulation) -> str:
     channels=st.integers(1, 2),
     ranks=st.integers(1, 2),
     enforce=st.booleans(),
+    backend=st.sampled_from(["simple", "command"]),
 )
-def test_restore_at_any_point_is_byte_identical(cut, channels, ranks, enforce):
+def test_restore_at_any_point_is_byte_identical(cut, channels, ranks, enforce, backend):
     topology = MemsysTopology(channels=channels, ranks=ranks)
-    flags = {"check_timing": enforce, "enforce_timing": enforce}
+    # The command backend is legal by construction: ``enforce`` only
+    # turns its checker on.
+    flags = {
+        "backend": backend,
+        "check_timing": enforce,
+        "enforce_timing": enforce and backend == "simple",
+    }
     reference = _result_bytes(_simulation(topology=topology, **flags))
 
     interrupted = _simulation(topology=topology, **flags)
@@ -88,13 +102,18 @@ def test_run_with_store_then_resume_from_latest(tmp_path):
 
 
 def test_snapshot_survives_json_round_trip_exactly():
-    simulation = _simulation()
-    simulation.prime()
-    for _ in range(40):
-        simulation.step()
-    state = simulation.snapshot()
-    rehydrated = json.loads(json.dumps(state))
-    assert state_digest(rehydrated) == state_digest(state)
+    for backend in ("simple", "command"):
+        simulation = _simulation(backend=backend)
+        simulation.prime()
+        for _ in range(40):
+            simulation.step()
+        state = simulation.snapshot()
+        rehydrated = json.loads(json.dumps(state))
+        assert state_digest(rehydrated) == state_digest(state)
+        # Restoring loads every field back: the restored state is the same.
+        restored = _simulation(backend=backend)
+        restored.restore(rehydrated)
+        assert restored.snapshot() == state, backend
 
 
 class TestSnapshotStore:
@@ -162,6 +181,16 @@ class TestRestoreRefusals:
         state = donor.snapshot()
         with pytest.raises(ValueError, match="different simulation configuration"):
             _simulation().restore(state)
+
+    def test_backend_is_part_of_the_configuration(self):
+        for backend, other in (("simple", "command"), ("command", "simple")):
+            donor = _simulation(backend=backend)
+            donor.prime()
+            for _ in range(40):
+                donor.step()
+            state = donor.snapshot()
+            with pytest.raises(ValueError, match="different simulation configuration"):
+                _simulation(backend=other).restore(state)
 
     def test_region_aware_policies_refuse_to_snapshot(self):
         policy = smd_raidr_policy(DDR4_3200, 4096, 0.02)

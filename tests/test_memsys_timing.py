@@ -3,8 +3,9 @@
 Two directions, both property-based where it matters:
 
 * *Soundness* — command streams produced by schedulers that enforce the
-  constraints (the command-level controller; the memsys model with
-  ``enforce_timing``) must check clean, over random workloads.
+  constraints (the memsys model's command backend; its simple backend
+  with ``enforce_timing``) must check clean, over random workloads and
+  topologies.
 * *Completeness* — for every constraint the checker knows, a seeded
   minimal illegal stream must be caught, with the right constraint name
   and nothing else flagged.
@@ -19,21 +20,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.sim import CommandLevelController, DDR4_3200_COMMANDS, MemoryRequest
+from repro.sim import DDR4_3200, MemoryRequest
 from repro.sim.memsys import (
     Command,
+    MemorySystem,
     MemsysSimulation,
     MemsysTopology,
     TimingChecker,
     TimingViolationError,
-    commands_from_log,
     record_violations,
 )
-from repro.sim.refreshpolicy import NoRefresh
+from repro.sim.refreshpolicy import NoRefresh, PeriodicRefresh
 from repro.sim.timing import MEMSYS_DDR4_3200
 from repro.workloads.trace import WorkloadTrace
 
-T = DDR4_3200_COMMANDS
+T = MEMSYS_DDR4_3200
 
 #: Data-bus geometry only — lets the cross-rank tests exercise tRTRS and
 #: tREFI without the per-bank constraints firing on the same commands.
@@ -53,59 +54,84 @@ def _constraints(commands, timing=T) -> list[str]:
     return sorted({v.constraint for v in TimingChecker(timing).check(commands)})
 
 
-def _cmdlevel_log(accesses):
-    controller = CommandLevelController(banks=4, log_commands=True)
+TOPOLOGIES = st.sampled_from([MemsysTopology(), MemsysTopology(channels=2, ranks=2)])
+
+
+def _command_stream(accesses, topology, at_once):
+    """Serve (bank, row, is_write) accesses in order: all arriving at
+    cycle 0 (``at_once``, so cross-bank rules bind) or each arriving when
+    the previous one completes."""
+    system = MemorySystem(
+        banks=8, topology=topology, backend="command", check_timing=True
+    )
     now = 0
     for index, (bank, row, is_write) in enumerate(accesses):
-        controller.enqueue(
+        system.enqueue(
             MemoryRequest(
                 core=0, index=index, bank=bank, row=row, arrival=now, is_write=is_write
             )
         )
-        served = controller.serve_next(bank, now)
+        served = system.serve_next(bank, now)
         assert served is not None
-        now = max(now, served.completion)
-    return controller.command_log
+        if not at_once:
+            now = max(now, served.completion)
+    return system.commands
 
 
 access_strategy = st.lists(
-    st.tuples(st.integers(0, 3), st.integers(0, 5), st.booleans()),
+    st.tuples(st.integers(0, 7), st.integers(0, 5), st.booleans()),
     min_size=1,
     max_size=30,
 )
 
 
 @settings(max_examples=50, deadline=None)
-@given(access_strategy)
-def test_legal_command_level_streams_check_clean(accesses):
+@given(access_strategy, TOPOLOGIES, st.booleans())
+def test_legal_command_level_streams_check_clean(accesses, topology, at_once):
     """Zero false positives on schedules built by a constraint-enforcing
     scheduler — every kind of command the checker models appears here."""
-    commands = commands_from_log(_cmdlevel_log(accesses))
+    commands = _command_stream(accesses, topology, at_once)
     assert TimingChecker(T).check(commands) == []
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=16, deadline=None)
 @given(
     mpki=st.floats(20.0, 60.0),
     locality=st.floats(0.1, 0.9),
+    write_fraction=st.floats(0.0, 0.5),
     channels=st.integers(1, 2),
     ranks=st.integers(1, 2),
+    backend=st.sampled_from(["simple", "command"]),
+    refresh=st.booleans(),
 )
-def test_enforced_memsys_runs_check_clean(mpki, locality, channels, ranks):
+def test_enforced_memsys_runs_check_clean(
+    mpki, locality, write_fraction, channels, ranks, backend, refresh
+):
+    """Whole mixes scheduled under the constraints check clean: the simple
+    backend with ``enforce_timing``, the command backend (writes and
+    refresh blocking included) by construction."""
     traces = [
-        WorkloadTrace(name=f"enf-{i}", mpki=mpki, locality=locality, length=150)
+        WorkloadTrace(
+            name=f"enf-{i}",
+            mpki=mpki,
+            locality=locality,
+            length=150,
+            write_fraction=write_fraction,
+        )
         for i in range(2)
     ]
     simulation = MemsysSimulation(
         traces,
-        NoRefresh(),
+        PeriodicRefresh(DDR4_3200) if refresh else NoRefresh(),
         topology=MemsysTopology(channels=channels, ranks=ranks),
+        backend=backend,
         check_timing=True,
-        enforce_timing=True,
+        enforce_timing=backend == "simple",
     )
     result = simulation.run()
     assert result.violations == []
-    assert result.timing_checked and result.timing_enforced
+    assert result.timing_checked
+    assert result.timing_enforced == (backend == "simple")
 
 
 def test_unenforced_three_latency_model_violates_honestly():
