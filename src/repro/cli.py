@@ -969,7 +969,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim_run.add_argument(
         "--snapshot-dir", default=None, metavar="DIR",
-        help="digest-stamped snapshots under DIR; rerunning with the same "
+        help="CRC-verified snapshots under DIR; rerunning with the same "
              "configuration resumes from the newest valid one",
     )
     sim_run.add_argument(

@@ -16,18 +16,15 @@ Two tiers:
   user-chosen directory, so repeated campaign runs skip recomputation
   entirely.
 
-A disk entry is one framed binary record: a fixed little-endian header
-(magic, ``rows``, ``cells``, ``horizon``, ``time_to_first`` and the six
-array lengths), the six arrays as ``<f8`` in `OutcomeSummary` field order,
-then a CRC-32 of everything before it.  A load is one read into one buffer
-that the loaded arrays view, so a hit costs a checksum, not a parse.
-
-The disk tier is crash-safe: writes go to a unique temp file that is
-fsync'd before an atomic ``os.replace`` (a torn write can never surface as
-a valid-looking entry), stale temp files orphaned by a killed process are
-swept on ``__init__``, and an entry whose frame or checksum does not hold
-is quarantined (renamed to ``<key>.bad``) on first read instead of
-silently re-missing every run.
+A disk entry is one `repro._util.durable` record whose payload is a fixed
+little-endian header (magic, ``rows``, ``cells``, ``horizon``,
+``time_to_first`` and the six array lengths) and the six arrays as ``<f8``
+in `OutcomeSummary` field order.  A load is one read into one buffer that
+the loaded arrays view, so a hit costs a checksum, not a parse.  That
+module makes the disk tier crash-safe: writes are atomic, ``__init__``
+sweeps temp files orphaned by a killed process, and an entry that is not
+exactly one intact record is quarantined (renamed to ``<key>.bad``) on
+first read instead of silently re-missing every run.
 
 Keys are content hashes over every input that determines the outcome,
 including a fingerprint of the die profile's calibrated parameters — a
@@ -38,18 +35,15 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import itertools
-import os
 import struct
 import threading
-import time
-import zlib
 from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
 
 from repro import obs
+from repro._util import durable
 from repro.core.analytic import OutcomeSummary, SubarrayRole
 from repro.obs import state as _obs_state
 from repro.core.config import DisturbConfig
@@ -102,10 +96,6 @@ _MEMORY_BYTES = obs.gauge(
 #: entries become unreachable instead of wrong.
 CACHE_FORMAT_VERSION = 2
 
-#: Temp files older than this are presumed orphaned by a dead process and
-#: swept on init; younger ones may belong to a live concurrent writer.
-TMP_SWEEP_AGE_S = 600.0
-
 _ARRAY_FIELDS = (
     "cd_cell_starts",
     "cd_cell_ends",
@@ -122,14 +112,7 @@ _ENTRY_SUFFIX = ".outcome"
 #: length of each `_ARRAY_FIELDS` array, all little-endian.
 _HEADER = struct.Struct(f"<8sqqdd{len(_ARRAY_FIELDS)}q")
 _MAGIC = b"OUTCOME" + bytes([CACHE_FORMAT_VERSION])
-_CRC = struct.Struct("<I")
 _F8 = np.dtype("<f8")
-
-#: Everything reading or decoding a short, torn, or foreign entry raises.
-_CORRUPT_ENTRY_ERRORS = (OSError, ValueError)
-
-#: Disambiguates temp files written by threads sharing one pid.
-_TMP_SEQUENCE = itertools.count()
 
 
 def content_key(fields: tuple) -> str:
@@ -187,15 +170,12 @@ class OutcomeCache:
         max_memory_entries: optional LRU bound on the memory tier; the
             least recently used entry is evicted past this size (the disk
             tier, when configured, still holds every entry).
-        tmp_sweep_age_s: age threshold for the init-time sweep of orphaned
-            ``*.tmp*`` files left behind by crashed writers.
     """
 
     def __init__(
         self,
         directory: str | Path | None = None,
         max_memory_entries: int | None = None,
-        tmp_sweep_age_s: float = TMP_SWEEP_AGE_S,
     ) -> None:
         self._memory: OrderedDict[str, OutcomeSummary] = OrderedDict()
         # Fleet pool threads share one cache, and the serve event loop
@@ -215,7 +195,7 @@ class OutcomeCache:
         self.disk_entries = 0
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
-            self._sweep_tmp(tmp_sweep_age_s)
+            self.swept_tmp = durable.sweep_tmp(self.directory)
             self.disk_entries = sum(
                 1 for _ in self.directory.glob(f"*{_ENTRY_SUFFIX}")
             )
@@ -357,85 +337,46 @@ class OutcomeCache:
             summary.time_to_first, *(array.size for array in arrays),
         )
         path = self._path(key)
-        tmp = path.parent / (
-            f"{path.name}.tmp{os.getpid()}-{next(_TMP_SEQUENCE)}"
-        )
-        with open(tmp, "wb") as handle:
-            handle.write(header)
-            crc = zlib.crc32(header)
-            for array in arrays:
-                handle.write(array)
-                crc = zlib.crc32(array, crc)
-            handle.write(_CRC.pack(crc))
-            handle.flush()
-            os.fsync(handle.fileno())
         existed = path.exists()
-        os.replace(tmp, path)
+        durable.atomic_write(path, [header, *arrays])
         if not existed:
             self.disk_entries += 1
 
     def _load(self, key: str) -> OutcomeSummary | None:
         path = self._path(key)
         try:
-            with open(path, "rb", buffering=0) as handle:
-                record = bytearray(os.fstat(handle.fileno()).st_size)
-                if handle.readinto(record) != len(record):
-                    raise ValueError("short read")
-            return _decode(record)
+            return _decode(durable.read_record(path))
         except FileNotFoundError:
             return None
-        except _CORRUPT_ENTRY_ERRORS:
-            self._quarantine(path)
+        except (OSError, ValueError):
+            if durable.quarantine(path):
+                self.quarantined += 1
+                self.disk_entries = max(0, self.disk_entries - 1)
+                _QUARANTINED.inc()
             return None
 
-    def _quarantine(self, path: Path) -> None:
-        """Rename a corrupt entry to ``<key>.bad`` so the next run misses
-        cleanly (and the evidence survives for inspection)."""
-        try:
-            os.replace(path, path.with_suffix(".bad"))
-            self.quarantined += 1
-            self.disk_entries = max(0, self.disk_entries - 1)
-            _QUARANTINED.inc()
-        except OSError:
-            # Lost a race with another reader/writer: nothing to keep.
-            pass
 
-    def _sweep_tmp(self, age_s: float) -> None:
-        now = time.time()
-        for orphan in self.directory.glob("*.tmp*"):
-            try:
-                if now - orphan.stat().st_mtime >= age_s:
-                    orphan.unlink()
-                    self.swept_tmp += 1
-            except OSError:
-                # Concurrent sweep or a live writer finishing: fine.
-                pass
+def _decode(payload: memoryview) -> OutcomeSummary:
+    """View one disk entry's arrays in its record payload.
 
-
-def _decode(record: bytearray) -> OutcomeSummary:
-    """Check one disk entry's frame and checksum and view its arrays.
-
-    The arrays are writable views of ``record``; raises ``ValueError`` if
-    the entry is not exactly one intact record.
+    The arrays are writable views of ``payload``; raises ``ValueError`` if
+    the payload is not exactly one entry.
     """
-    if len(record) < _HEADER.size + _CRC.size:
-        raise ValueError("entry shorter than its frame")
+    if len(payload) < _HEADER.size:
+        raise ValueError("entry shorter than its header")
     magic, rows, cells, horizon, time_to_first, *lengths = _HEADER.unpack_from(
-        record
+        payload
     )
     if magic != _MAGIC:
         raise ValueError("not an outcome entry")
     if min(lengths) < 0:
         raise ValueError("negative array length")
-    end = _HEADER.size + _F8.itemsize * sum(lengths)
-    if end + _CRC.size != len(record):
+    if _HEADER.size + _F8.itemsize * sum(lengths) != len(payload):
         raise ValueError("entry size does not match its header")
-    if zlib.crc32(memoryview(record)[:end]) != _CRC.unpack_from(record, end)[0]:
-        raise ValueError("checksum mismatch")
     arrays = {}
     offset = _HEADER.size
     for name, length in zip(_ARRAY_FIELDS, lengths):
-        arrays[name] = np.frombuffer(record, _F8, length, offset)
+        arrays[name] = np.frombuffer(payload, _F8, length, offset)
         offset += _F8.itemsize * length
     return OutcomeSummary(
         rows=rows,

@@ -15,21 +15,21 @@ the geometric midpoint of its bin, within half a bin width (~0.3%
 relative at the default resolution) of the exact order statistic — the
 hypothesis property suite pins this tolerance against ``np.percentile``.
 
-`CheckpointStore` persists aggregator state + resume cursor as atomic
-JSON files (tmp + fsync + rename, the same crash-safety discipline as
-`OutcomeCache`), keeping the newest few and skipping corrupt files on
-load, so a campaign killed mid-write resumes from the previous good
-checkpoint.
+`CheckpointStore` persists aggregator state + resume cursor as
+CRC-framed JSON records through `repro._util.durable`, the write path the
+outcome cache uses.  A checkpoint that fails its check (torn, edited, or
+from before the frame) is quarantined to ``.bad``, so a campaign resumes
+from the newest intact checkpoint, or from the start if none is left.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from pathlib import Path
 
 import numpy as np
+
+from repro._util.durable import RecordStore
 
 #: Bump when the checkpoint/state layout changes; mismatched checkpoints
 #: are ignored (the campaign restarts from scratch rather than misread).
@@ -212,60 +212,13 @@ class FleetAggregator:
         return agg
 
 
-class CheckpointStore:
-    """Atomic, crash-safe checkpoint files for a resumable campaign.
+class CheckpointStore(RecordStore):
+    """Checkpoints of one resumable campaign: `RecordStore` records
+    ``checkpoint-<next_index 12 digits>.json``."""
 
-    Files are ``checkpoint-<next_index 12 digits>.json`` under one
-    directory; `save` writes tmp + fsync + rename (never a partially
-    visible checkpoint) and prunes all but the newest ``keep``.  `latest`
-    returns the newest *parseable* checkpoint — a file truncated by a
-    crash mid-write only ever exists under its tmp name, but a corrupt
-    survivor is skipped rather than trusted.
-    """
-
-    def __init__(self, directory: str | Path, keep: int = 2) -> None:
-        if keep < 1:
-            raise ValueError("keep must be at least 1")
-        self.directory = Path(directory)
-        self.keep = keep
-        self._seq = 0
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, next_index: int) -> Path:
-        return self.directory / f"checkpoint-{next_index:012d}.json"
+    prefix = "checkpoint"
 
     def save(self, payload: dict, next_index: int) -> Path:
-        """Atomically persist ``payload`` as the checkpoint at cursor
-        ``next_index``; prune older checkpoints beyond ``keep``."""
-        path = self._path(next_index)
-        self._seq += 1
-        tmp = path.with_name(f"{path.name}.tmp{os.getpid()}-{self._seq}")
-        data = json.dumps(payload, sort_keys=True).encode("utf-8")
-        with open(tmp, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        for old in self._checkpoints()[: -self.keep]:
-            try:
-                old.unlink()
-            except OSError:
-                pass
-        return path
-
-    def _checkpoints(self) -> list[Path]:
-        return sorted(
-            p
-            for p in self.directory.glob("checkpoint-*.json")
-            if ".tmp" not in p.name
-        )
-
-    def latest(self) -> dict | None:
-        """Newest parseable checkpoint payload, or None."""
-        for path in reversed(self._checkpoints()):
-            try:
-                with open(path, encoding="utf-8") as handle:
-                    return json.load(handle)
-            except (OSError, json.JSONDecodeError):
-                continue
-        return None
+        """Durably persist ``payload`` as the checkpoint at cursor
+        ``next_index``; returns its path."""
+        return super().save(payload, next_index)

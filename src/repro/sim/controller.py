@@ -96,16 +96,9 @@ class MemoryController:
         self.channel_free_at = 0
         self.stats = ControllerStats()
 
-    @property
-    def bank_count(self) -> int:
-        return len(self.banks)
-
     def enqueue(self, request: MemoryRequest) -> None:
         """Add an arrived request to its bank queue."""
         self.banks[request.bank].queue.append(request)
-
-    def bank_has_work(self, bank: int) -> bool:
-        return bool(self.banks[bank].queue)
 
     def serve_next(self, bank_index: int, now: int) -> MemoryRequest | None:
         """Issue the next request of ``bank_index`` (FR-FCFS), if any.

@@ -7,7 +7,7 @@ Public surface:
 * `MemorySystem` — the R x C controller (tRTRS, per-channel buses,
   optional timing checking/enforcement);
 * `MemsysSimulation` — the resumable event loop (`snapshot`/`restore`);
-* `SnapshotStore` — digest-stamped atomic snapshot files;
+* `SnapshotStore` — CRC-framed atomic snapshot files;
 * `SystemCounters` — per-channel/per-rank bandwidth accounting (the
   single source the obs gauges and the energy model compute from);
 * `TimingChecker` / `Command` / `TimingViolation` — command-stream
@@ -22,7 +22,7 @@ from repro.sim.memsys.counters import (
     SystemCounters,
 )
 from repro.sim.memsys.simulation import SNAPSHOT_VERSION, MemsysSimulation
-from repro.sim.memsys.snapshot import SnapshotStore, state_digest
+from repro.sim.memsys.snapshot import SnapshotStore
 from repro.sim.memsys.system import MemorySystem
 from repro.sim.memsys.timingcheck import (
     Command,
@@ -55,5 +55,4 @@ __all__ = [
     "TimingViolation",
     "TimingViolationError",
     "record_violations",
-    "state_digest",
 ]

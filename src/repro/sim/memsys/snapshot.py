@@ -1,97 +1,26 @@
-"""Digest-stamped, atomic snapshot files for resumable simulations.
+"""Snapshot files for resumable `MemsysSimulation` runs.
 
-Same crash-safety discipline as the fleet `CheckpointStore`
-(`repro.fleet.aggregate`): snapshots are written tmp + fsync + atomic
-rename, so a partially written file only ever exists under its temp name
-and a kill at any instant leaves the newest complete snapshot intact.
-
-On top of that, every snapshot is *content-digest-stamped*: the file
-wraps the state in ``{"digest": sha256(state-json), "state": {...}}``.
-`load`/`latest` recompute the digest and silently skip any file whose
-bytes do not hash to their stamp — a torn write that survived a crash,
-bit rot, or a hand-edited snapshot can never restore into a simulation
-as valid-looking state.
+A snapshot is one `repro._util.durable` record: the canonical JSON of the
+simulation state followed by a CRC-32, written atomically and fsync'd
+together with its directory, the path fleet checkpoints also use.  A
+file that fails its check (torn by a crash, bit rot, or hand-edited) is
+quarantined to ``.bad`` and never restores into a simulation.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from pathlib import Path
 
-
-def state_digest(state: dict) -> str:
-    """Canonical content hash of a JSON-able snapshot state."""
-    payload = json.dumps(state, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+from repro._util.durable import RecordStore
 
 
-class SnapshotStore:
-    """Atomic, digest-verified snapshot files for `MemsysSimulation`.
+class SnapshotStore(RecordStore):
+    """Snapshots of one resumable simulation: `RecordStore` records
+    ``snapshot-<events 12 digits>.json``."""
 
-    Files are ``snapshot-<events 12 digits>.json`` under one directory;
-    `save` writes tmp + fsync + rename and prunes all but the newest
-    ``keep``; `latest` returns the newest snapshot whose content digest
-    verifies (corrupt files are skipped, never trusted).
-    """
-
-    def __init__(self, directory: str | Path, keep: int = 2) -> None:
-        if keep < 1:
-            raise ValueError("keep must be at least 1")
-        self.directory = Path(directory)
-        self.keep = keep
-        self._seq = 0
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, events: int) -> Path:
-        return self.directory / f"snapshot-{events:012d}.json"
+    prefix = "snapshot"
 
     def save(self, state: dict, events: int) -> Path:
-        """Atomically persist ``state`` as the snapshot after ``events``
-        processed events; prune older snapshots beyond ``keep``."""
-        record = {"digest": state_digest(state), "state": state}
-        path = self._path(events)
-        self._seq += 1
-        tmp = path.with_name(f"{path.name}.tmp{os.getpid()}-{self._seq}")
-        data = json.dumps(record, sort_keys=True).encode("utf-8")
-        with open(tmp, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        for old in self._snapshots()[: -self.keep]:
-            try:
-                old.unlink()
-            except OSError:
-                pass
-        return path
-
-    def _snapshots(self) -> list[Path]:
-        return sorted(
-            p for p in self.directory.glob("snapshot-*.json") if ".tmp" not in p.name
-        )
-
-    def load(self, path: str | Path) -> dict | None:
-        """The state inside ``path`` if its digest verifies, else None."""
-        try:
-            with open(path, encoding="utf-8") as handle:
-                record = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            return None
-        if not isinstance(record, dict):
-            return None
-        state = record.get("state")
-        if not isinstance(state, dict):
-            return None
-        if record.get("digest") != state_digest(state):
-            return None
-        return state
-
-    def latest(self) -> dict | None:
-        """Newest snapshot state whose content digest verifies, or None."""
-        for path in reversed(self._snapshots()):
-            state = self.load(path)
-            if state is not None:
-                return state
-        return None
+        """Durably persist ``state`` as the snapshot after ``events``
+        processed events; returns its path."""
+        return super().save(state, events)

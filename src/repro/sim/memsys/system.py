@@ -195,16 +195,9 @@ class MemorySystem:
         self.counters = SystemCounters(channel_count=channels, rank_count=ranks)
         self.commands: list[Command] = []
 
-    @property
-    def bank_count(self) -> int:
-        return len(self.banks)
-
     def enqueue(self, request: MemoryRequest) -> None:
         """Add an arrived request to its bank queue."""
         self.banks[request.bank].queue.append(request)
-
-    def bank_has_work(self, bank: int) -> bool:
-        return bool(self.banks[bank].queue)
 
     # ------------------------------------------------------------------
     def serve_next(self, bank_index: int, now: int) -> MemoryRequest | None:

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro._util import durable
 from repro.core import (
     QUICK_SCALE,
     WORST_CASE,
@@ -104,10 +105,11 @@ def test_fresh_tmp_files_survive_init_sweep(tmp_path):
     assert cache.swept_tmp == 0
 
 
-def test_sweep_age_is_configurable(tmp_path):
+def test_sweep_age_is_configurable(tmp_path, monkeypatch):
+    monkeypatch.setattr(durable, "TMP_SWEEP_AGE_S", 0.0)
     orphan = Path(f"{_entry_path(tmp_path, 'feedface')}.tmp1-1")
     orphan.write_bytes(b"orphan")
-    cache = OutcomeCache(tmp_path, tmp_sweep_age_s=0.0)
+    cache = OutcomeCache(tmp_path)
     assert not orphan.exists()
     assert cache.swept_tmp == 1
 

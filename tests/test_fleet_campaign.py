@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import shutil
 import signal
 import subprocess
@@ -242,6 +243,68 @@ def test_checkpoint_store_skips_corrupt_newest(tmp_path):
     assert store.latest() == {"cursor": 1}
 
 
+def test_checkpoint_store_never_prunes_the_record_it_wrote(tmp_path):
+    (tmp_path / "checkpoint-000000000200.json").write_text("{ truncated mid-wri")
+    store = CheckpointStore(tmp_path, keep=1)
+    path = store.save({"cursor": 100}, 100)
+    assert sorted(tmp_path.iterdir()) == [path]
+    assert store.latest() == {"cursor": 100}
+
+
+def test_reused_checkpoint_dir_keeps_the_new_runs_checkpoints(tmp_path):
+    earlier = FleetSpec(**{**SPEC_KWARGS, "modules": 64})
+    FleetCampaign(spec=earlier, checkpoint_dir=str(tmp_path), checkpoint_every=32).run()
+    assert len(list(tmp_path.glob("checkpoint-*.json"))) == 2
+    spec = FleetSpec(**{**SPEC_KWARGS, "modules": 16, "seed": 6})
+    FleetCampaign(spec=spec, checkpoint_dir=str(tmp_path), checkpoint_every=4).run()
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint-000000000016.json"]
+    rerun = FleetCampaign(spec=spec, checkpoint_dir=str(tmp_path), checkpoint_every=4)
+    result = rerun.run()
+    assert result.resumed_from == spec.offset + 16
+    assert result.cache_misses == 0
+
+
+def _raise_one_count(path: Path) -> None:
+    """Add one module to a histogram bin of a checkpoint file, in place."""
+    data = path.read_bytes()
+    pair = re.compile(rb"\[(\d+), ?(\d+)\]").search(data, data.index(b'"counts"'))
+    raised = b"[%s,%d]" % (pair[1], int(pair[2]) + 1)
+    path.write_bytes(data[: pair.start()] + raised + data[pair.end() :])
+
+
+UNTRUSTED_CHECKPOINTS = {
+    "raised count": _raise_one_count,
+    "[1]": lambda path: path.write_text("[1]"),
+    "[]": lambda path: path.write_text("[]"),
+}
+
+
+@pytest.mark.parametrize("older", [True, False], ids=["older-valid", "none-left"])
+@pytest.mark.parametrize("corruption", list(UNTRUSTED_CHECKPOINTS))
+def test_untrusted_newest_checkpoint_is_quarantined(tmp_path, corruption, older):
+    """The campaign resumes from the older valid checkpoint, or from the
+    start if none is left, and ends where an uninterrupted run does."""
+    spec = FleetSpec(**SPEC_KWARGS)
+    baseline = FleetCampaign(spec=spec)
+    expected = baseline.run().snapshot()
+    FleetCampaign(
+        spec=spec,
+        checkpoint_dir=str(tmp_path),
+        checkpoint_every=8,
+        chunk=8,
+        stop_event=_StopAfterChunks(2 if older else 1),
+    ).run()
+    newest = sorted(tmp_path.glob("checkpoint-*.json"))[-1]
+    UNTRUSTED_CHECKPOINTS[corruption](newest)
+
+    resumed = FleetCampaign(spec=spec, checkpoint_dir=str(tmp_path), chunk=8)
+    result = resumed.run()
+    assert result.resumed_from == (spec.offset + 8 if older else None)
+    assert newest.with_suffix(".bad").exists()
+    assert _state_json(resumed) == _state_json(baseline)
+    assert result.snapshot()["intervals"] == expected["intervals"]
+
+
 def test_cache_makes_reruns_hits_without_changing_state(tmp_path):
     from repro.core import OutcomeCache
 
@@ -359,6 +422,8 @@ def test_cli_sigint_flushes_checkpoint_and_exits_130(tmp_path):
     assert "interrupted" in stderr
     assert "checkpoint flushed" in stderr
     newest = sorted(checkpoint_dir.glob("checkpoint-*.json"))[-1]
-    payload = json.loads(Path(newest).read_text())
+    payload = CheckpointStore(checkpoint_dir).load(newest)
+    assert payload is not None
+    assert not list(checkpoint_dir.glob("*.bad"))
     assert payload["next_index"] >= 64
     assert payload["aggregator"]["modules"] == payload["next_index"]
