@@ -40,7 +40,6 @@ from repro.core import (
     CampaignScale,
     CharacterizationEngine,
     OutcomeCache,
-    RunTrace,
     SubarrayRole,
     WORST_CASE,
     disturb_outcome,
@@ -219,7 +218,6 @@ def run_engine_suite(
     workers: int = 4,
     cache_dir: str | None = None,
     write_json: bool = True,
-    trace_path: str | None = None,
 ) -> dict:
     """Time the engine's three execution paths over the DDR4 catalog.
 
@@ -238,16 +236,11 @@ def run_engine_suite(
     warning — when the host could not exercise parallelism (one core, or
     the engine's serial fallback engaged), so a ``parallel_speedup``
     below 1.0 is never mistaken for a pool regression.
-
-    ``trace_path`` (or ``REPRO_BENCH_TRACE``) streams per-unit JSONL
-    telemetry from the parallel and warm passes and adds the aggregate
-    summary to the result dict.
     """
     if serials is None:
         serials = tuple(spec.serial for spec in ddr4_modules())
     scale = scale or STANDARD_SCALE
     units = len(plan_units(serials, WORST_CASE, scale))
-    trace = RunTrace(trace_path) if trace_path else None
 
     serial_engine = CharacterizationEngine(scale=scale, workers=0)
     start = time.perf_counter()
@@ -258,7 +251,7 @@ def run_engine_suite(
 
     cache = OutcomeCache(cache_dir)
     parallel_engine = CharacterizationEngine(
-        scale=scale, workers=workers, cache=cache, trace=trace
+        scale=scale, workers=workers, cache=cache
     )
     start = time.perf_counter()
     parallel_records = parallel_engine.characterize_modules(
@@ -272,8 +265,6 @@ def run_engine_suite(
         serials, WORST_CASE, intervals
     )
     warm_s = time.perf_counter() - start
-    if trace is not None:
-        trace.close()
 
     assert parallel_records == serial_records, "parallel records diverged"
     assert warm_records == serial_records, "warm-cache records diverged"
@@ -318,8 +309,6 @@ def run_engine_suite(
         "parity": True,
         "cache": cache.stats,
     }
-    if trace is not None:
-        result["trace"] = trace.summary()
     if write_json:
         # Engine suite owns the top level of the file; named blocks
         # (kernels/serve/obs) belong to their own benches and survive.
@@ -650,9 +639,7 @@ def main(argv: list[str] | None = None) -> int:
                 return 1
         return 0
 
-    result = run_engine_suite(
-        trace_path=os.environ.get("REPRO_BENCH_TRACE") or None,
-    )
+    result = run_engine_suite()
     kernels = run_kernel_suite()
     result["kernels"] = kernels
     print(json.dumps(result, indent=2))

@@ -15,6 +15,7 @@ Usage (after ``pip install -e .``)::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections.abc import Sequence
 
@@ -38,18 +39,13 @@ from repro.fleet.scenario import SCENARIO_NAMES
 from repro.refresh import columndisturb_safe_period, compare_mitigations
 
 
-def _add_observability_args(
-    parser: argparse.ArgumentParser,
-    trace_help: str = "record observability spans as JSONL to FILE",
-) -> None:
-    """Shared ``--trace`` / ``--metrics`` / ``--metrics-port`` plumbing.
-
-    Every data-producing subcommand gets the same three flags;
-    ``characterize`` overrides ``trace_help`` because its ``--trace`` writes
-    the engine's per-unit RunTrace rather than span JSONL.
-    """
+def _add_observability_args(parser: argparse.ArgumentParser) -> None:
+    """Shared ``--trace`` / ``--metrics`` / ``--metrics-port`` plumbing:
+    every data-producing subcommand gets the same three flags."""
     parser.add_argument(
-        "--trace", default=None, metavar="FILE", help=trace_help,
+        "--trace", default=None, metavar="FILE",
+        help="append observability spans to FILE as JSONL, each as it "
+             "finishes (render it with 'repro obs trace FILE')",
     )
     parser.add_argument(
         "--metrics", default=None, metavar="FILE",
@@ -124,7 +120,7 @@ def _cmd_risk(args: argparse.Namespace) -> str:
 
 
 def _cmd_characterize(args: argparse.Namespace) -> str:
-    from repro.core import OutcomeCache, RunTrace
+    from repro.core import OutcomeCache
 
     scale = CampaignScale(
         BankGeometry(
@@ -132,7 +128,6 @@ def _cmd_characterize(args: argparse.Namespace) -> str:
             columns=args.columns,
         )
     )
-    trace = RunTrace(args.trace) if args.trace else None
     campaign = Campaign(
         scale=scale,
         workers=args.workers,
@@ -140,15 +135,10 @@ def _cmd_characterize(args: argparse.Namespace) -> str:
         retries=args.retries,
         timeout=args.timeout,
         failure_policy=args.failure_policy,
-        trace=trace,
     )
-    try:
-        records = campaign.characterize_module(
-            args.serial, WORST_CASE, intervals=(0.512, 16.0)
-        )
-    finally:
-        if trace is not None:
-            trace.close()
+    records = campaign.characterize_module(
+        args.serial, WORST_CASE, intervals=(0.512, 16.0)
+    )
     measured = [r for r in records if r.status == "ok"]
     summary = DistributionSummary.from_values(
         [r.time_to_first for r in measured]
@@ -176,9 +166,56 @@ def _cmd_characterize(args: argparse.Namespace) -> str:
     skipped = len(records) - len(measured)
     if skipped:
         footer += f"\nWARNING: {skipped} subarray(s) skipped after failures"
-    if trace is not None:
-        footer += "\n\n" + trace.summary_table()
+    if args.trace:
+        footer += "\n\n" + _run_trace_summary(obs.current_span().trace_id)
     return body + footer
+
+
+def _run_trace_summary(trace_id: str) -> str:
+    """The ``characterize --trace`` footer, from the run's spans: units by
+    source, retries, nearest-rank unit latencies (skipped units have
+    none) and the engine's serial-fallback decision."""
+    spans = [s for s in obs.finished_spans() if s["trace_id"] == trace_id]
+    units = [s for s in spans if s["name"] == "engine.unit"]
+    walls = {"computed": [], "memory": [], "disk": [], "skipped": []}
+    for unit in units:
+        walls[unit["attributes"]["source"]].append(unit["duration_s"])
+    attempts = [unit["attributes"]["attempts"] for unit in units]
+    computed, hits = walls["computed"], walls["memory"] + walls["disk"]
+
+    def latency(samples: list[float]) -> str:
+        ordered = sorted(samples)
+
+        def at(q: float) -> str:
+            if not ordered:
+                return "n/a"
+            rank = math.ceil(q / 100.0 * len(ordered))
+            return f"{ordered[max(rank, 1) - 1] * 1e3:.2f} ms"
+
+        return f"p50 {at(50.0)}, p95 {at(95.0)}"
+
+    lines = [
+        "run trace summary:",
+        f"  units: {len(units)} ({len(computed)} computed, "
+        f"{len(walls['memory'])} memory hits, {len(walls['disk'])} disk hits, "
+        f"{len(walls['skipped'])} skipped)",
+        f"  cache hit ratio: {len(hits) / len(units) if units else 0.0:.1%}",
+        f"  units retried: {sum(a > 1 for a in attempts)} "
+        f"({sum(attempts)} total attempts)",
+        f"  unit latency: {latency(computed + hits)}",
+        f"  computed latency: {latency(computed)}",
+        f"  cache-hit latency: {latency(hits)}",
+        f"  total unit wall time: {sum(computed) + sum(hits):.3f} s",
+    ]
+    for span in spans:
+        attributes = span["attributes"]
+        if span["name"] == "engine.characterize" and attributes.get("serial_fallback"):
+            lines.append(
+                f"  decision [serial-fallback]: workers={attributes['workers']} "
+                f"requested, {attributes['effective_workers']} effective; the "
+                "host offers no parallelism, so units ran in-process"
+            )
+    return "\n".join(lines)
 
 
 def _cmd_datasheet(args: argparse.Namespace) -> str:
@@ -224,15 +261,37 @@ def _cmd_obs(args: argparse.Namespace) -> str:
     raise ValueError(f"unknown obs command {args.obs_command!r}")
 
 
-def _load_trace_entries(path: str) -> list[dict]:
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_span_record(record: object) -> bool:
+    """A span record: string ``name`` and ``trace_id``, numeric
+    ``duration_s``, and the written types on the optional fields the
+    renderer reads."""
+    return (
+        isinstance(record, dict)
+        and isinstance(record.get("name"), str)
+        and isinstance(record.get("trace_id"), str)
+        and _is_number(record.get("duration_s"))
+        and _is_number(record.get("start_unix", 0.0))
+        and isinstance(record.get("span_id"), (str, type(None)))
+        and isinstance(record.get("parent_id"), (str, type(None)))
+        and isinstance(record.get("attributes") or {}, dict)
+        and isinstance(record.get("links") or [], list)
+    )
+
+
+def _read_trace_entries(path: str) -> list[dict]:
     """Load trace JSONL files into per-trace entries.
 
-    Accepts one file or a directory of ``*.jsonl`` files and understands
-    both shapes the toolkit writes: slow-request capture entries (one
-    request per line, carrying its span tree) and raw span records
-    (``--trace`` / ``write_spans`` output, one span per line).  A trace
-    split across files — the front door's capture and a worker's — is
-    merged into one entry keyed by ``trace_id``.
+    Accepts one file or a directory of ``*.jsonl`` files holding the two
+    shapes the toolkit writes: slow-request capture entries (an object
+    whose ``spans`` is a list of span records, one request per line) and
+    span records (``--trace`` output, one span per line).  Any other line
+    raises `ValueError` naming its file and line.  A trace split across
+    files — the front door's capture and a worker's — is merged into one
+    entry keyed by ``trace_id``.
     """
     import json
     from pathlib import Path
@@ -259,12 +318,26 @@ def _load_trace_entries(path: str) -> list[dict]:
         )
 
     for file in files:
-        for line in file.read_text(encoding="utf-8").splitlines():
+        lines = file.read_text(encoding="utf-8").splitlines()
+        for number, line in enumerate(lines, start=1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            if "spans" in record:  # slow-request capture entry
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{file}:{number}: not JSON ({exc})") from None
+            if isinstance(record, dict) and "spans" in record:  # capture entry
+                spans = record["spans"]
+                if not (
+                    isinstance(spans, list)
+                    and all(_is_span_record(span) for span in spans)
+                    and isinstance(record.get("trace_id", ""), str)
+                    and _is_number(record.get("duration_s") or 0.0)
+                ):
+                    raise ValueError(
+                        f"{file}:{number}: malformed trace capture entry"
+                    )
                 entry = _entry(record.get("trace_id", ""))
                 entry["spans"].extend(record["spans"])
                 entry["request_id"] = entry["request_id"] or record.get("request_id")
@@ -272,11 +345,14 @@ def _load_trace_entries(path: str) -> list[dict]:
                 entry["duration_s"] = max(
                     entry["duration_s"], record.get("duration_s") or 0.0
                 )
-            else:  # raw span record
-                entry = _entry(record.get("trace_id", ""))
+            elif _is_span_record(record):
+                entry = _entry(record["trace_id"])
                 entry["spans"].append(record)
-                entry["duration_s"] = max(
-                    entry["duration_s"], record.get("duration_s") or 0.0
+                entry["duration_s"] = max(entry["duration_s"], record["duration_s"])
+            else:
+                raise ValueError(
+                    f"{file}:{number}: neither a span record nor a trace "
+                    "capture entry"
                 )
     return list(entries.values())
 
@@ -329,7 +405,7 @@ def _render_trace_tree(entry: dict) -> str:
 def _render_trace_files(
     path: str, top: int = 10, trace_id: str | None = None
 ) -> str:
-    entries = _load_trace_entries(path)
+    entries = _read_trace_entries(path)
     if not entries:
         return "no traces recorded"
     if trace_id:
@@ -368,7 +444,15 @@ def _render_metrics_file(path: str) -> str:
     text = Path(path).read_text(encoding="utf-8")
     if text.lstrip().startswith("{"):
         # JSON snapshots keep family/type structure: use the rich report.
-        return obs.render_report(json.loads(text))
+        try:
+            return obs.render_report(json.loads(text))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not JSON ({exc})") from None
+        except (AttributeError, KeyError, TypeError) as exc:
+            # The report reads 'metrics' as a list of families with samples.
+            raise ValueError(
+                f"{path}: not a metrics snapshot ({type(exc).__name__}: {exc})"
+            ) from None
     samples = obs.parse_prometheus_text(text)
     rows = [
         [
@@ -749,10 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache", default=None, metavar="DIR",
         help="on-disk outcome cache directory (reused across runs)",
     )
-    _add_observability_args(
-        character,
-        trace_help="write per-unit run telemetry as JSONL and print a summary",
-    )
+    _add_observability_args(character)
     character.add_argument(
         "--retries", type=int, default=0,
         help="extra attempts per unit after a failed execution",
@@ -1036,17 +1117,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     metrics_path = getattr(args, "metrics", None)
     metrics_port = getattr(args, "metrics_port", None)
     trace_path = getattr(args, "trace", None)
-    # `characterize --trace` is the engine's RunTrace (unchanged semantics);
-    # on every other command `--trace` records observability spans.
-    span_trace = trace_path if args.command != "characterize" else None
-    if metrics_path or metrics_port is not None or span_trace:
+    if metrics_path or metrics_port is not None or trace_path:
         obs.enable()
     server = None
     if metrics_port is not None:
         server = obs.MetricsServer(port=metrics_port)
         print(f"serving /metrics on port {server.port}", file=sys.stderr)
     try:
-        with obs.span(f"cli.{args.command}"):
+        with obs.stream_spans(trace_path), obs.span(
+            f"cli.{args.command}", version=repro.__version__
+        ):
             output = _HANDLERS[args.command](args)
         if output:
             print(output)
@@ -1073,9 +1153,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     finally:
         if server is not None:
             server.close()
-        if obs.is_enabled():
-            if metrics_path:
-                obs.write_metrics(obs.REGISTRY, metrics_path)
-            if span_trace:
-                obs.write_spans(obs.finished_spans(), span_trace)
+        if metrics_path and obs.is_enabled():
+            obs.write_metrics(obs.REGISTRY, metrics_path)
     return 0

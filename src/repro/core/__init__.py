@@ -67,7 +67,6 @@ from repro.core.subarrays import (
     reverse_engineer_subarrays,
     rows_share_subarray,
 )
-from repro.core.telemetry import RunTrace, UnitTrace, load_trace
 
 __all__ = [
     "DEFAULT_SUMMARY_HORIZON",
@@ -88,9 +87,6 @@ __all__ = [
     "record_from_summary",
     "FailurePolicy",
     "UnitExecutionError",
-    "RunTrace",
-    "UnitTrace",
-    "load_trace",
     "aggressor_column_multipliers",
     "disturb_outcome",
     "neighbour_column_multipliers",

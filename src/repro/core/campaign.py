@@ -21,7 +21,6 @@ from repro.obs import state as _obs_state
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine -> campaign)
     from repro.core.cache import OutcomeCache
-    from repro.core.telemetry import RunTrace
 
 
 @dataclass(frozen=True)
@@ -123,8 +122,8 @@ class Campaign:
     """Campaign driver bound to a scale: every pass runs the
     characterization engine (`repro.core.engine`).
 
-    ``workers``, ``cache``, ``retries``, ``timeout``, ``failure_policy``
-    and ``trace`` configure that engine; the defaults run every unit
+    ``workers``, ``cache``, ``retries``, ``timeout`` and
+    ``failure_policy`` configure that engine; the defaults run every unit
     in-process with no cache.  Records are bit-identical for any setting,
     because each unit re-derives the same deterministic population.
     """
@@ -135,7 +134,6 @@ class Campaign:
     retries: int = 0
     timeout: float | None = None
     failure_policy: str = "raise"
-    trace: "RunTrace | None" = None
 
     def engine(self):
         """The `CharacterizationEngine` this campaign's settings describe;
@@ -149,7 +147,6 @@ class Campaign:
             retries=self.retries,
             timeout=self.timeout,
             failure_policy=self.failure_policy,
-            trace=self.trace,
         )
 
     def characterize_module(

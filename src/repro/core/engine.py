@@ -29,9 +29,15 @@ fresh pool.  When a unit exhausts its attempts, the
 with an explicit ``status="skipped"`` record in the unit's plan slot —
 never a silent hole.
 
-Telemetry: pass ``trace=RunTrace(...)`` (`repro.core.telemetry`) to record
-per-unit wall time, retry counts, and cache tier, streamed as JSONL while
-the campaign runs.
+Telemetry: with `repro.obs` on, every resolved unit becomes one
+``engine.unit`` span — identity, plan index, source (``computed``,
+``memory``, ``disk`` or ``skipped``), attempts, executor and last error —
+recorded on the calling thread under ``engine.characterize`` (or the
+server's ``serve.batch``) by the same call that feeds
+``engine_units_total``, ``engine_unit_seconds`` and
+``engine_unit_retries_total``.  A hit is timed by its lookup, a computed
+unit by its last attempt.  ``repro characterize --trace FILE`` streams
+those spans as JSONL.
 
 Summary sizing: every pass builds its summaries to
 ``max(SEARCH_INTERVAL, *intervals)`` — the longest interval it must answer,
@@ -83,7 +89,6 @@ from repro.core.campaign import (
     record_cell_flip_metrics,
 )
 from repro.core.config import SEARCH_INTERVAL, DisturbConfig
-from repro.core.telemetry import RunTrace, UnitTrace, record_unit_metrics
 from repro.obs import state as _obs_state
 
 #: Default horizon of a summary built by `execute_unit` alone.  Engine
@@ -97,6 +102,19 @@ _SERIAL_FALLBACKS = obs.counter(
     "engine_serial_fallbacks_total",
     "Campaign passes that skipped the worker pool because the host has no "
     "parallelism to offer (os.cpu_count() <= 1).",
+)
+_UNITS_TOTAL = obs.counter(
+    "engine_units_total",
+    "Work units resolved by the characterization engine, by summary source.",
+    labelnames=("source",),
+)
+_UNIT_SECONDS = obs.histogram(
+    "engine_unit_seconds",
+    "Wall-clock seconds to obtain one unit summary (compute or cache hit).",
+)
+_UNIT_RETRIES = obs.counter(
+    "engine_unit_retries_total",
+    "Execution attempts beyond each unit's first, across all units.",
 )
 
 _log = logging.getLogger("repro.core.engine")
@@ -287,43 +305,39 @@ def _maybe_inject_fault(unit: WorkUnit) -> None:
 
 def _worker_run(
     unit: WorkUnit, horizon: float, guardband: int
-) -> tuple[OutcomeSummary, float]:
-    """Execute one unit under an ``engine.unit`` span; returns
-    ``(summary, wall_s)``."""
+) -> tuple[OutcomeSummary, float, float]:
+    """Execute one attempt of one unit; returns ``(summary, start_unix,
+    wall_s)``."""
     _maybe_inject_fault(unit)
-    start = time.perf_counter()
-    with obs.span(
-        "engine.unit",
-        serial=unit.serial,
-        chip=unit.chip,
-        bank=unit.bank,
-        subarray=unit.subarray,
-    ):
-        summary = execute_unit(unit, horizon=horizon, guardband=guardband)
-    return summary, time.perf_counter() - start
+    start_unix, start = time.time(), time.perf_counter()
+    summary = execute_unit(unit, horizon=horizon, guardband=guardband)
+    return summary, start_unix, time.perf_counter() - start
 
 
 def _submit(pool: ThreadPoolExecutor, compute, unit: WorkUnit) -> Future:
     """Submit one attempt of ``unit``, first or retry, to ``pool``.
 
-    A pool thread runs tasks in its own `contextvars` Context, which would
-    orphan the unit's span.  Running the task in a copy of the submitter's
-    context (one copy per task: a Context is single-entry) nests the span
-    under the submitter's active campaign or batch span.
+    A pool thread runs tasks in its own `contextvars` Context.  Running the
+    task in a copy of the submitter's context (one copy per task: a Context
+    is single-entry) lets code on the pool thread see the submitter's
+    active campaign or batch span, as log records and timing wrappers
+    there expect.
     """
     return pool.submit(contextvars.copy_context().run, compute, unit)
 
 
 @dataclass
 class _ExecResult:
-    """Outcome of executing one pending unit (``summary is None`` =>
+    """Outcome of executing one pending unit: its last attempt's
+    `_worker_run` result, then the attempt count (``summary is None`` =>
     skipped under ``FailurePolicy.SKIP``)."""
 
     summary: OutcomeSummary | None
-    attempts: int
+    start_unix: float
     wall: float
-    error: str | None = None
+    attempts: int
     executor: str | None = None
+    error: str | None = None
 
 
 def record_from_summary(
@@ -391,7 +405,7 @@ def _record_from_ok_summary(
 @dataclass
 class CharacterizationEngine:
     """Campaign executor with thread-pool parallelism, outcome caching,
-    fault tolerance, and structured run telemetry.
+    fault tolerance, and one ``engine.unit`` span per resolved unit.
 
     Attributes:
         scale: how much silicon to instantiate per module (shared with
@@ -409,12 +423,12 @@ class CharacterizationEngine:
         failure_policy: ``raise`` (default) aborts the campaign on an
             exhausted unit; ``skip-with-record`` completes it with an
             explicit ``status="skipped"`` record in the unit's slot.
-        trace: optional `RunTrace` receiving one `UnitTrace` per unit.
         serial_fallback: when ``True`` (default), a multi-worker request on
             a host with ``os.cpu_count() <= 1`` runs in-process instead of
             paying pool overhead for no parallelism (logged, counted, and
-            recorded as a trace decision).  ``False`` forces the pool —
-            used by tests that exercise pool mechanics regardless of host.
+            stamped on the ``engine.characterize`` span).  ``False`` forces
+            the pool — used by tests that exercise pool mechanics
+            regardless of host.
     """
 
     scale: CampaignScale = STANDARD_SCALE
@@ -425,7 +439,6 @@ class CharacterizationEngine:
     retry_backoff: float = 0.05
     timeout: float | None = None
     failure_policy: FailurePolicy | str = FailurePolicy.RAISE
-    trace: RunTrace | None = None
     serial_fallback: bool = True
     #: Effective-execution report of the most recent campaign pass —
     #: what actually ran (worker count, fallback decision), as
@@ -464,8 +477,11 @@ class CharacterizationEngine:
             "engine.characterize",
             serials=",".join(serials), units=len(units),
             workers=self.workers,
-        ):
+        ) as span:
             summaries = self.compute_summaries(units, tuple(intervals))
+            execution = self.last_execution
+            span.set_attribute("effective_workers", execution["effective_workers"])
+            span.set_attribute("serial_fallback", execution["serial_fallback"])
             return [
                 record_from_summary(
                     unit, summary, tuple(intervals),
@@ -521,36 +537,31 @@ class CharacterizationEngine:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    @staticmethod
     def _trace_unit(
-        self,
         index: int,
         unit: WorkUnit,
         source: str,
+        start_unix: float,
         wall: float,
         attempts: int = 0,
         error: str | None = None,
         executor: str | None = None,
     ) -> None:
-        """Record one unit's telemetry to the RunTrace and/or the metrics
-        registry — both views are built from the same UnitTrace value."""
-        if self.trace is None and not _obs_state.enabled:
+        """Record one resolved unit: its ``engine.unit`` span and the
+        engine unit metrics, from the same values."""
+        if not _obs_state.enabled:
             return
-        unit_trace = UnitTrace(
-            index=index,
-            serial=unit.serial,
-            chip=unit.chip,
-            bank=unit.bank,
-            subarray=unit.subarray,
-            source=source,
-            wall_s=wall,
-            attempts=attempts,
-            worker=None if source == "skipped" else os.getpid(),
-            error=error,
-            executor=executor,
+        _UNITS_TOTAL.labels(source=source).inc()
+        _UNIT_SECONDS.observe(wall)
+        if attempts > 1:
+            _UNIT_RETRIES.inc(attempts - 1)
+        obs.record_span(
+            "engine.unit", start_unix, wall,
+            index=index, serial=unit.serial, chip=unit.chip, bank=unit.bank,
+            subarray=unit.subarray, source=source, attempts=attempts,
+            executor=executor, error=error,
         )
-        record_unit_metrics(unit_trace)
-        if self.trace is not None:
-            self.trace.record(unit_trace)
 
     def _summaries(
         self, units: list[WorkUnit], horizon: float
@@ -561,12 +572,14 @@ class CharacterizationEngine:
         if self.cache is not None:
             for i, unit in enumerate(units):
                 keys[i] = self._unit_key(unit)
-                start = time.perf_counter()
+                start_unix, start = time.time(), time.perf_counter()
                 summary, tier = self.cache.lookup(keys[i], min_horizon=horizon)
                 if summary is not None:
                     summaries[i] = summary
                     resolved[i] = True
-                    self._trace_unit(i, unit, tier, time.perf_counter() - start)
+                    self._trace_unit(
+                        i, unit, tier, start_unix, time.perf_counter() - start
+                    )
         pending = [i for i, done in enumerate(resolved) if not done]
         results = self._execute_pending(units, pending, horizon)
         for i in pending:
@@ -578,7 +591,8 @@ class CharacterizationEngine:
             self._trace_unit(
                 i, units[i],
                 "computed" if result.summary is not None else "skipped",
-                result.wall, result.attempts, result.error, result.executor,
+                result.start_unix, result.wall, result.attempts, result.error,
+                result.executor,
             )
         return summaries
 
@@ -605,8 +619,6 @@ class CharacterizationEngine:
             )
             _SERIAL_FALLBACKS.inc()
             _log.warning(detail)
-            if self.trace is not None:
-                self.trace.note_decision("serial-fallback", detail)
         self.last_execution = {
             "workers": self.workers,
             "effective_workers": min(self.workers, len(queue)) if pooled else 1,
@@ -637,7 +649,7 @@ class CharacterizationEngine:
             for i in queue:
                 while True:
                     try:
-                        summary, wall = futures[i].result(timeout=self.timeout)
+                        ran = futures[i].result(timeout=self.timeout)
                     except TimeoutError:
                         attempts[i] += 1
                         errors[i] = f"unit timed out after {self.timeout:g}s"
@@ -656,9 +668,7 @@ class CharacterizationEngine:
                         self._register_failure(units[i], i, attempts, errors, results)
                     else:
                         attempts[i] += 1
-                        results[i] = _ExecResult(
-                            summary, attempts[i], wall, None, "threads"
-                        )
+                        results[i] = _ExecResult(*ran, attempts[i], "threads")
                     break
         except BaseException:
             pool.shutdown(wait=False, cancel_futures=True)
@@ -674,16 +684,15 @@ class CharacterizationEngine:
             future = futures[i]
             if i in results or not future.done() or future.exception() is not None:
                 continue
-            summary, wall = future.result()
             attempts[i] += 1
-            results[i] = _ExecResult(summary, attempts[i], wall, None, "threads")
+            results[i] = _ExecResult(*future.result(), attempts[i], "threads")
 
     def _run_in_process(self, unit, index, compute, results, attempts, errors) -> None:
         """Serial execution of one unit with the same retry/policy rules."""
         while True:
             attempts[index] += 1
             try:
-                summary, wall = compute(unit)
+                ran = compute(unit)
             except Exception as exc:
                 errors[index] = f"{type(exc).__name__}: {exc}"
                 if attempts[index] <= self.retries:
@@ -691,15 +700,15 @@ class CharacterizationEngine:
                     continue
                 self._register_failure(unit, index, attempts, errors, results)
             else:
-                results[index] = _ExecResult(
-                    summary, attempts[index], wall, None, "serial"
-                )
+                results[index] = _ExecResult(*ran, attempts[index], "serial")
             return
 
     def _register_failure(self, unit, index, attempts, errors, results) -> None:
         if self.failure_policy is FailurePolicy.RAISE:
             raise UnitExecutionError(unit, attempts[index], errors.get(index))
-        results[index] = _ExecResult(None, attempts[index], 0.0, errors.get(index))
+        results[index] = _ExecResult(
+            None, time.time(), 0.0, attempts[index], error=errors.get(index)
+        )
 
     def _backoff(self, failures: int) -> None:
         if self.retry_backoff > 0:

@@ -226,10 +226,15 @@ class FleetCampaign:
             return None
         if checkpoint.get("spec_digest") != self.spec.digest():
             return None
-        next_index = int(checkpoint["next_index"])
+        try:
+            next_index = int(checkpoint["next_index"])
+            aggregator = FleetAggregator.from_state(checkpoint["aggregator"])
+        except (KeyError, TypeError, ValueError, IndexError):
+            # A payload this build cannot rebuild (another aggregator
+            # layout, a missing field) is not resumable: restart.
+            return None
         if not self.spec.offset <= next_index <= self.spec.offset + self.spec.modules:
             return None
-        aggregator = FleetAggregator.from_state(checkpoint["aggregator"])
         if aggregator.modules != next_index - self.spec.offset:
             return None
         with self._lock:

@@ -6,12 +6,15 @@ span conventions):
 * a **metrics registry** — :func:`counter` / :func:`gauge` /
   :func:`histogram` families with labeled children, lock-free in the hot
   path via thread-local shards merged on scrape;
-* **span tracing** — ``with obs.span("engine.unit", serial=...)`` regions
-  that nest, follow a request across processes and hosts through W3C
-  ``traceparent`` headers, and degrade to a shared no-op when disabled;
+* **span tracing** — ``with obs.span("engine.characterize", units=...)``
+  regions that nest, follow a request across processes and hosts through
+  W3C ``traceparent`` headers, and degrade to a shared no-op when
+  disabled; :func:`record_span` records work timed elsewhere (the
+  engine's ``engine.unit`` spans);
 * **exporters** — Prometheus text exposition (:func:`prometheus_text`,
   :class:`MetricsServer`), JSON snapshots (:func:`json_snapshot`), span
-  JSONL, and the ``repro obs report`` CLI table (:func:`render_report`).
+  JSONL (:func:`stream_spans`), and the ``repro obs report`` CLI table
+  (:func:`render_report`).
 
 Everything is **off by default**: instrumented call sites cost one module
 attribute read and a branch.  Switch on with :func:`enable`, the
@@ -33,9 +36,7 @@ from repro.obs.export import (
     parse_prometheus_text,
     prometheus_text,
     render_report,
-    spans_jsonl,
     write_metrics,
-    write_spans,
 )
 from repro.obs.logs import JsonLineFormatter, get_logger, worker_index
 from repro.obs.logs import configure as configure_logging
@@ -57,7 +58,9 @@ from repro.obs.tracing import (
     finished_spans,
     inject,
     new_trace_id,
+    record_span,
     span,
+    stream_spans,
     take_trace,
     use_context,
 )
@@ -135,6 +138,8 @@ __all__ = [
     "current_span",
     "current_context",
     "span",
+    "record_span",
+    "stream_spans",
     "inject",
     "extract",
     "use_context",
@@ -156,7 +161,5 @@ __all__ = [
     "parse_prometheus_text",
     "load_metrics",
     "render_report",
-    "spans_jsonl",
     "write_metrics",
-    "write_spans",
 ]

@@ -1,5 +1,5 @@
 """Exporters: Prometheus text exposition, JSON snapshots, report tables,
-span JSONL, and an optional ``/metrics`` HTTP endpoint.
+and an optional ``/metrics`` HTTP endpoint.
 
 Every exporter consumes either a live :class:`~repro.obs.metrics.MetricsRegistry`
 or a snapshot dict previously produced by :meth:`MetricsRegistry.snapshot`,
@@ -128,17 +128,6 @@ def write_metrics(source, path: str | Path) -> Path:
     else:
         payload = prometheus_text(source)
     path.write_text(payload, encoding="utf-8")
-    return path
-
-
-def spans_jsonl(spans: list[dict]) -> str:
-    """Finished spans as one JSON object per line."""
-    return "".join(json.dumps(record, sort_keys=True) + "\n" for record in spans)
-
-
-def write_spans(spans: list[dict], path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(spans_jsonl(spans), encoding="utf-8")
     return path
 
 

@@ -8,8 +8,10 @@ A span is a named, timed region of work with free-form attributes::
 
 Spans nest: the span active when a new span starts becomes its parent
 (tracked with a :class:`contextvars.ContextVar`, so nesting is correct per
-thread and per asyncio task).  Finished spans accumulate in a bounded
-process-wide buffer that exporters drain.
+thread and per asyncio task); :func:`record_span` records work timed
+elsewhere under the same parent.  Finished spans accumulate in a bounded
+process-wide buffer that exporters drain, and :func:`stream_spans`
+appends each to a JSONL file as it finishes.
 
 **Trace identity.**  Every span belongs to a *trace*: a root span mints a
 fresh 32-hex ``trace_id`` and every descendant inherits it, so all the
@@ -37,6 +39,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import itertools
+import json
 import os
 import re
 import threading
@@ -67,6 +70,8 @@ _finished: list[dict] = []
 _finished_lock = threading.Lock()
 _dropped = 0
 _ids = itertools.count(1)
+#: Open JSONL file of `stream_spans`; written under ``_finished_lock``.
+_sink = None
 
 
 def new_trace_id() -> str:
@@ -133,17 +138,7 @@ class Span:
     _finished: bool = field(default=False, repr=False)
 
     def __enter__(self) -> "Span":
-        parent = _current_span.get()
-        if parent is not None:
-            self.parent_id = parent.span_id
-            self.trace_id = parent.trace_id
-        else:
-            remote = _remote_context.get()
-            if remote is not None:
-                self.parent_id = remote.span_id
-                self.trace_id = remote.trace_id
-        if not self.trace_id:
-            self.trace_id = new_trace_id()
+        self.parent_id, self.trace_id = _parent_here()
         self.start_unix = time.time()
         self._start_perf = time.perf_counter()
         self._token = _current_span.set(self)
@@ -152,6 +147,10 @@ class Span:
     def __exit__(self, exc_type, exc, tb) -> None:
         duration = time.perf_counter() - self._start_perf
         _current_span.reset(self._token)
+        error = None if exc_type is None else f"{exc_type.__name__}: {exc}"
+        self._finish(duration, error)
+
+    def _finish(self, duration: float, error: str | None = None) -> None:
         self._finished = True
         # The record snapshots (rather than aliases) the mutable fields, so
         # a stray set_attribute after exit cannot rewrite history.
@@ -167,8 +166,8 @@ class Span:
         }
         if self.links:
             record["links"] = [dict(link) for link in self.links]
-        if exc_type is not None:
-            record["error"] = f"{exc_type.__name__}: {exc}"
+        if error is not None:
+            record["error"] = error
         _record_finished(record)
 
     def set_attribute(self, key: str, value: object) -> None:
@@ -193,11 +192,38 @@ class Span:
         return TraceContext(trace_id=self.trace_id, span_id=self.span_id)
 
 
+def _parent_here() -> tuple[str | None, str]:
+    """``(parent_id, trace_id)`` of a span starting here: the active span,
+    else the remote context installed by `use_context`, else a fresh root
+    trace."""
+    parent = _current_span.get()
+    if parent is not None:
+        return parent.span_id, parent.trace_id
+    remote = _remote_context.get()
+    if remote is not None:
+        return remote.span_id, remote.trace_id
+    return None, new_trace_id()
+
+
 def span(name: str, **attributes: object) -> Span | _NoopSpan:
     """Start a (context-managed) span; a shared no-op while disabled."""
     if not _state.enabled:
         return _NOOP
     return Span(name=name, attributes=attributes)
+
+
+def record_span(
+    name: str, start_unix: float, duration_s: float, **attributes: object
+) -> None:
+    """Record a finished span for work timed elsewhere, under the parent a
+    span opened here would get: the engine records a unit computed on a
+    pool thread, or a cache hit, as a child of the campaign or batch span
+    on its calling thread.  A no-op while disabled."""
+    if not _state.enabled:
+        return
+    timed = Span(name=name, attributes=attributes, start_unix=start_unix)
+    timed.parent_id, timed.trace_id = _parent_here()
+    timed._finish(duration_s)
 
 
 def current_span() -> Span | None:
@@ -264,9 +290,35 @@ def extract(headers: dict[str, str]) -> TraceContext | None:
     return TraceContext(trace_id=trace_id, span_id=span_id)
 
 
+@contextlib.contextmanager
+def stream_spans(path):
+    """Append each span that finishes inside the block to ``path``.
+
+    One JSON object per line, written and flushed as the span finishes, so
+    a killed process leaves every span it finished on disk.  The file is
+    opened for appending: an existing file gains this run's traces.
+    ``None`` is a no-op, like `use_context`.
+    """
+    global _sink
+    if path is None:
+        yield
+        return
+    with open(path, "a", encoding="utf-8") as handle:
+        with _finished_lock:
+            _sink = handle
+        try:
+            yield
+        finally:
+            with _finished_lock:
+                _sink = None
+
+
 def _record_finished(record: dict) -> None:
     global _dropped
     with _finished_lock:
+        if _sink is not None:
+            _sink.write(json.dumps(record, sort_keys=True, default=str) + "\n")
+            _sink.flush()
         if len(_finished) >= MAX_FINISHED_SPANS:
             _dropped += 1
         else:

@@ -1,10 +1,23 @@
-"""Shared fixtures: small, fast geometries and representative modules."""
+"""Shared fixtures: small, fast geometries, representative modules and
+span capture."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.chip import BankGeometry, SimulatedModule, get_module
+
+
+@pytest.fixture
+def spans():
+    """Observability on for one test; returns a lookup of the finished
+    spans with a given name, oldest first."""
+    obs.enable()
+    obs.reset()
+    yield lambda name: [s for s in obs.finished_spans() if s["name"] == name]
+    obs.disable()
+    obs.reset()
 
 
 @pytest.fixture

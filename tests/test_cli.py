@@ -221,6 +221,175 @@ def test_characterize_trace_still_prints_run_summary(tmp_path, capsys):
               str(tmp_path / "t.jsonl"))
     assert "cache hit ratio" in out
 
+
+CHARACTERIZE_SMALL = ("characterize", "S0", "--subarrays", "2", "--rows", "64",
+                      "--columns", "128")
+
+
+def _summary_counts(out: str) -> list[str]:
+    """The run trace summary lines that hold counts, not timings."""
+    lines = out.split("run trace summary:\n", 1)[1].splitlines()
+    assert len(lines) == 7
+    return [line for line in lines if "latency" not in line and "wall" not in line]
+
+
+def test_characterize_trace_is_span_jsonl_cold_and_warm(tmp_path, capsys):
+    """`characterize --trace` writes the span JSONL every command writes:
+    `repro obs trace` renders each run's tree, and the footer counts units
+    as before, cold and warm."""
+    import json
+
+    trace = tmp_path / "trace.jsonl"
+    flags = ("--cache", str(tmp_path / "cache"), "--trace", str(trace))
+    cold = run(capsys, *CHARACTERIZE_SMALL, *flags)
+    warm = run(capsys, *CHARACTERIZE_SMALL, *flags)
+    assert _summary_counts(cold) == [
+        "  units: 2 (2 computed, 0 memory hits, 0 disk hits, 0 skipped)",
+        "  cache hit ratio: 0.0%",
+        "  units retried: 0 (2 total attempts)",
+    ]
+    assert _summary_counts(warm) == [
+        "  units: 2 (0 computed, 0 memory hits, 2 disk hits, 0 skipped)",
+        "  cache hit ratio: 100.0%",
+        "  units retried: 0 (0 total attempts)",
+    ]
+    # The tables above the footer are the untraced run's, byte for byte.
+    plain = run(capsys, *CHARACTERIZE_SMALL)
+    assert cold.split("\nrun trace summary:")[0] == plain
+    assert warm.split("\nrun trace summary:")[0] == plain
+
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    roots = [r for r in records if r["parent_id"] is None]
+    assert [r["name"] for r in roots] == ["cli.characterize"] * 2
+    listing = run(capsys, "obs", "trace", str(trace))
+    assert "2 trace(s)" in listing
+    for root, source in zip(roots, ("computed", "disk")):
+        tree = run(capsys, "obs", "trace", str(trace), "--trace-id",
+                   root["trace_id"]).splitlines()
+        assert [line.split(" [")[0] for line in tree[1:]] == [
+            "  - cli.characterize",
+            "    - engine.characterize",
+            "      - engine.unit",
+            "      - engine.unit",
+        ]
+        assert all(f"source={source}" in line for line in tree[3:])
+
+
+def test_characterize_trace_streams_spans_before_the_command_returns(
+    tmp_path, capsys, monkeypatch
+):
+    """Each span is on disk the moment it finishes: when the campaign
+    returns, its unit and campaign spans are in the file while the
+    command's own span is still open."""
+    import json
+
+    from repro.core import Campaign
+
+    trace = tmp_path / "trace.jsonl"
+    on_disk = []
+    characterize_module = Campaign.characterize_module
+
+    def watched(self, *args, **kwargs):
+        records = characterize_module(self, *args, **kwargs)
+        on_disk.extend(
+            json.loads(line)["name"] for line in trace.read_text().splitlines()
+        )
+        return records
+
+    monkeypatch.setattr(Campaign, "characterize_module", watched)
+    run(capsys, *CHARACTERIZE_SMALL, "--trace", str(trace))
+    assert on_disk == ["engine.unit", "engine.unit", "engine.characterize"]
+    names = [json.loads(line)["name"] for line in trace.read_text().splitlines()]
+    assert names == on_disk + ["cli.characterize"]
+
+
+def test_obs_trace_renders_captures_and_benchmark_spans(tmp_path, capsys):
+    """Both shapes `repro obs trace` reads: a slow-request capture entry
+    and a span record carrying extra keys (a benchmark's ``layer``)."""
+    import json
+
+    from repro import obs
+    from repro.serve.server import capture_slow_trace
+
+    obs.enable()
+    with obs.span("serve.request", route="/v1/characterize") as request:
+        with obs.span("serve.batch"):
+            pass
+    capture_slow_trace(str(tmp_path), 0.0, request.trace_id, "req-1",
+                       "/v1/characterize", 0.25)
+    (tmp_path / "bench.jsonl").write_text(json.dumps({
+        "name": "core.engine.execute_unit", "layer": "core.engine",
+        "trace_id": "ab" * 16, "span_id": "cd" * 8, "parent_id": None,
+        "start_unix": 1.0, "duration_s": 0.5, "pid": 1,
+        "attributes": {"units": 2},
+    }) + "\n")
+    listing = run(capsys, "obs", "trace", str(tmp_path))
+    assert "req-1" in listing and "2 trace(s)" in listing
+    tree = run(capsys, "obs", "trace", str(tmp_path), "--trace-id",
+               request.trace_id)
+    assert "- serve.request" in tree and "  - serve.batch" in tree
+
+
+@pytest.mark.parametrize(
+    "line, problem",
+    [
+        ("[1,2]", "neither a span record nor a trace capture entry"),
+        ('{"spans": 5, "trace_id": "ab"}', "malformed trace capture entry"),
+        ('{"name": "x", "trace_id": "ab", "duration_s": "fast"}',
+         "neither a span record nor a trace capture entry"),
+        ('{"name": "x", "trace_id": "ab", "duration_s": 1, "attributes": [1]}',
+         "neither a span record nor a trace capture entry"),
+        ('{"spans": [{"name": "x", "trace_id": 7, "duration_s": 1}]}',
+         "malformed trace capture entry"),
+        ("{not json", "not JSON"),
+    ],
+    ids=["list", "spans-not-a-list", "duration-not-a-number",
+         "attributes-not-an-object", "capture-span-without-trace-id",
+         "not-json"],
+)
+def test_obs_trace_rejects_malformed_lines(tmp_path, capsys, line, problem):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text('{"name": "ok", "trace_id": "ab", "duration_s": 1}\n'
+                     + line + "\n")
+    err = assert_clean_error(capsys, "obs", "trace", str(trace))
+    assert f"{trace}:2: {problem}" in err
+
+
+def test_obs_trace_rejects_a_run_trace_file(tmp_path, capsys):
+    """The per-unit JSONL `characterize --trace` wrote before it wrote
+    spans (a meta header, then one object per unit) is not a span file."""
+    trace = tmp_path / "old.jsonl"
+    trace.write_text(
+        '{"meta": {"repro_version": "1.0.0"}}\n'
+        '{"attempts": 1, "bank": 0, "chip": 0, "error": null, '
+        '"executor": "serial", "index": 0, "serial": "S0", '
+        '"source": "computed", "subarray": 0, "wall_s": 0.01, "worker": 1}\n'
+    )
+    err = assert_clean_error(capsys, "obs", "trace", str(trace))
+    assert f"{trace}:1:" in err
+
+
+@pytest.mark.parametrize(
+    "snapshot",
+    [
+        '{"metrics": 3}',
+        '{"metrics": [3]}',
+        '{"metrics": [{"name": "x", "type": "counter", "samples": 1}]}',
+        '{"metrics": [{"name": "x", "type": "counter", '
+        '"samples": [{"labels": {}, "value": "many"}]}]}',
+        '{"metrics": [{"name": "h", "type": "histogram", '
+        '"samples": [{"labels": {}, "count": 1}]}]}',
+        "{not json",
+    ],
+    ids=["metrics-not-a-list", "family-not-an-object", "samples-not-a-list",
+         "value-not-a-number", "histogram-without-sum", "not-json"],
+)
+def test_obs_report_rejects_malformed_snapshots(tmp_path, capsys, snapshot):
+    metrics = tmp_path / "metrics.json"
+    metrics.write_text(snapshot)
+    err = assert_clean_error(capsys, "obs", "report", str(metrics))
+    assert str(metrics) in err
+
 def test_sim_run_prints_channel_table(capsys):
     out = run(capsys, "sim", "run", "--cores", "1", "--length", "50")
     assert "channel" in out and "data-bus util" in out

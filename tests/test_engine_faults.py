@@ -11,7 +11,9 @@ The invariants under test: a campaign never leaves a *silent* hole — a
 failed unit is either retried to success, reported via
 `UnitExecutionError`, or recorded as an explicit ``status="skipped"``
 record in its exact plan slot — and whatever survives is bit-identical to
-the serial, fault-free path.
+the serial, fault-free path.  Whatever the faults, each pass records one
+``engine.unit`` span per unit, and ``engine_units_total{source}`` counts
+exactly those spans.
 """
 
 import json
@@ -21,6 +23,8 @@ from functools import lru_cache
 
 import pytest
 
+from repro import obs
+from repro.cli import _run_trace_summary
 from repro.core import (
     QUICK_SCALE,
     WORST_CASE,
@@ -28,14 +32,13 @@ from repro.core import (
     CharacterizationEngine,
     FailurePolicy,
     OutcomeCache,
-    RunTrace,
     UnitExecutionError,
-    load_trace,
 )
 from repro.core.engine import FAULT_ENV
 
 INTERVALS = (0.512, 16.0)
 VICTIM = 1  # subarray index the injected faults target
+UNITS = len(QUICK_SCALE.subarray_indices())  # one S0 pass: 1 chip, 1 bank
 
 pytestmark = pytest.mark.engine
 
@@ -56,6 +59,7 @@ def inject(monkeypatch, tmp_path):
 
     def _inject(mode: str, subarray: int = VICTIM, times: int = 1, **extra):
         baseline()  # computed fault-free, whichever test runs first
+        obs.reset()  # its spans and unit counts are not the test's
         fault_dir = tmp_path / "faults"
         fault_dir.mkdir(exist_ok=True)
         spec = {
@@ -77,18 +81,57 @@ def run(**knobs):
     return engine.characterize_module("S0", WORST_CASE, INTERVALS)
 
 
+def unit_spans(spans, passes: int = 1) -> list[dict]:
+    """The ``engine.unit`` span attributes of ``passes`` engine passes,
+    after checking there is one span per unit and that the per-source
+    unit counter counts exactly those spans."""
+    units = spans("engine.unit")
+    assert len(units) == passes * UNITS
+    samples = {
+        sample["labels"]["source"]: sample["value"]
+        for family in obs.snapshot()["metrics"]
+        if family["name"] == "engine_units_total"
+        for sample in family["samples"]
+    }
+    for source in ("computed", "memory", "disk", "skipped"):
+        assert samples.get(source, 0) == sum(
+            s["attributes"]["source"] == source for s in units
+        ), source
+    return [s["attributes"] for s in units]
+
+
+def victim_span(attributes: list[dict]) -> dict:
+    (victim,) = [a for a in attributes if a["subarray"] == VICTIM]
+    return victim
+
+
 # ---------------------------------------------------------------------------
 # Poisoned workers (exceptions)
 # ---------------------------------------------------------------------------
 
-def test_poison_retried_serial(inject):
+def assert_victim_retried_once(spans, executor: str) -> None:
+    attributes = unit_spans(spans)
+    assert [a["index"] for a in attributes] == list(range(UNITS))
+    assert victim_span(attributes) == {
+        "index": VICTIM, "serial": "S0", "chip": 0, "bank": 0,
+        "subarray": VICTIM, "source": "computed", "attempts": 2,
+        "executor": executor, "error": None,
+    }
+    assert all(
+        a["attempts"] == 1 for a in attributes if a["subarray"] != VICTIM
+    )
+
+
+def test_poison_retried_serial(inject, spans):
     inject("poison", times=1)
     assert run(retries=1, retry_backoff=0.0) == list(baseline())
+    assert_victim_retried_once(spans, "serial")
 
 
-def test_poison_retried_parallel(inject):
+def test_poison_retried_parallel(inject, spans):
     inject("poison", times=1)
     assert run(workers=2, retries=1, retry_backoff=0.0) == list(baseline())
+    assert_victim_retried_once(spans, "threads")
 
 
 def test_poison_exhausted_raises_by_default(inject):
@@ -104,7 +147,7 @@ def test_poison_exhausted_raises_in_pool(inject):
 
 
 @pytest.mark.parametrize("workers", (0, 2), ids=("serial", "parallel"))
-def test_poison_skip_policy_leaves_explicit_hole(inject, workers):
+def test_poison_skip_policy_leaves_explicit_hole(inject, spans, workers):
     inject("poison", times=99)
     records = run(
         workers=workers, retries=1, retry_backoff=0.0,
@@ -117,6 +160,11 @@ def test_poison_skip_policy_leaves_explicit_hole(inject, workers):
     for i, record in enumerate(records):
         if i != VICTIM:
             assert record == baseline()[i]
+    victim = victim_span(unit_spans(spans))
+    assert victim["source"] == "skipped"
+    assert victim["attempts"] == 2
+    assert victim["executor"] is None
+    assert victim["error"] == "RuntimeError: injected poison fault"
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +184,7 @@ def abandoned_threads(before: set) -> list[threading.Thread]:
     ]
 
 
-def test_hung_worker_times_out_and_skips(inject):
+def test_hung_worker_times_out_and_skips(inject, spans):
     inject("hang", times=99, hang_s=HANG_S)
     before, start = set(threading.enumerate()), time.monotonic()
     records = run(
@@ -152,6 +200,9 @@ def test_hung_worker_times_out_and_skips(inject):
     for i, record in enumerate(records):
         if i != VICTIM:
             assert record == baseline()[i]
+    victim = victim_span(unit_spans(spans))
+    assert (victim["source"], victim["attempts"]) == ("skipped", 1)
+    assert victim["error"] == f"unit timed out after {TIMEOUT_S:g}s"
 
 
 def test_hung_worker_times_out_and_raises(inject):
@@ -163,67 +214,82 @@ def test_hung_worker_times_out_and_raises(inject):
     assert abandoned_threads(before)
 
 
-def test_hung_worker_retried_on_fresh_pool(inject):
+def test_hung_worker_retried_on_fresh_pool(inject, spans):
     """A timed-out unit with attempts left runs again on a fresh pool."""
     inject("hang", times=1, hang_s=HANG_S)
-    trace = RunTrace()
-    records = run(workers=2, retries=1, timeout=TIMEOUT_S, trace=trace)
+    records = run(workers=2, retries=1, timeout=TIMEOUT_S)
     assert records == list(baseline())
-    (victim,) = [r for r in trace.records if r.subarray == VICTIM]
-    assert victim.attempts == 2
-    assert victim.executor == "threads"
+    victim = victim_span(unit_spans(spans))
+    assert victim["source"] == "computed"
+    assert victim["attempts"] == 2
+    assert victim["executor"] == "threads"
+    assert victim["error"] is None
 
 
 # ---------------------------------------------------------------------------
 # Telemetry under faults
 # ---------------------------------------------------------------------------
 
-def test_trace_records_every_unit_with_cache_tiers(tmp_path):
+def run_traced(**knobs) -> str:
+    """`run` under one root span; returns its trace id."""
+    with obs.span("test.run") as root:
+        run(**knobs)
+    return root.trace_id
+
+
+def test_trace_records_every_unit_with_cache_tiers(tmp_path, spans):
     trace_path = tmp_path / "trace.jsonl"
-    trace = RunTrace(trace_path)
-    engine = CharacterizationEngine(
-        scale=QUICK_SCALE, cache=OutcomeCache(), trace=trace
-    )
-    engine.characterize_module("S0", WORST_CASE, INTERVALS)
-    engine.characterize_module("S0", WORST_CASE, INTERVALS)
-    trace.close()
+    engine = CharacterizationEngine(scale=QUICK_SCALE, cache=OutcomeCache())
+    with obs.stream_spans(trace_path), obs.span("test.run") as root:
+        engine.characterize_module("S0", WORST_CASE, INTERVALS)
+        engine.characterize_module("S0", WORST_CASE, INTERVALS)
 
-    records = load_trace(trace_path)
-    assert len(records) == 2 * len(baseline())  # one line per unit per run
-    assert [r.source for r in records[:4]] == ["computed"] * 4
-    assert [r.source for r in records[4:]] == ["memory"] * 4
-    assert all(r.wall_s >= 0.0 for r in records)
-    assert all(r.worker is not None for r in records)
+    attributes = unit_spans(spans, passes=2)
+    assert [a["source"] for a in attributes] == ["computed"] * 4 + ["memory"] * 4
+    assert all(a["attempts"] == 0 for a in attributes[4:])
+    assert all(a["executor"] is None for a in attributes[4:])
+    # The streamed file holds the same spans, one line each.
+    lines = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    assert [r for r in lines if r["name"] == "engine.unit"] == spans("engine.unit")
+    assert all(s["duration_s"] >= 0.0 for s in spans("engine.unit"))
 
-    summary = trace.summary()
-    assert summary["units"] == 8
-    assert summary["computed"] == 4
-    assert summary["memory_hits"] == 4
-    assert summary["cache_hit_ratio"] == pytest.approx(0.5)
-    assert summary["wall_p95_s"] >= summary["wall_p50_s"] >= 0.0
-    assert "cache hit ratio: 50.0%" in trace.summary_table()
+    footer = _run_trace_summary(root.trace_id)
+    assert "units: 8 (4 computed, 4 memory hits, 0 disk hits, 0 skipped)" in footer
+    assert "cache hit ratio: 50.0%" in footer
+    assert "units retried: 0 (4 total attempts)" in footer
 
 
-def test_trace_records_retries_and_skips(inject, tmp_path):
+def test_disk_hits_recorded_as_disk_spans(tmp_path, spans):
+    CharacterizationEngine(
+        scale=QUICK_SCALE, cache=OutcomeCache(tmp_path)
+    ).characterize_module("S0", WORST_CASE, INTERVALS)
+    obs.reset()
+    CharacterizationEngine(
+        scale=QUICK_SCALE, cache=OutcomeCache(tmp_path)
+    ).characterize_module("S0", WORST_CASE, INTERVALS)
+    attributes = unit_spans(spans)
+    assert {a["source"] for a in attributes} == {"disk"}
+    assert {(a["attempts"], a["executor"], a["error"]) for a in attributes} == {
+        (0, None, None)
+    }
+
+
+def test_trace_records_retries_and_skips(inject, spans):
     inject("poison", times=1)
-    trace = RunTrace()
-    run(retries=2, retry_backoff=0.0, trace=trace)
-    victim = [r for r in trace.records if r.subarray == VICTIM]
-    assert len(victim) == 1
-    assert victim[0].attempts == 2  # one poisoned attempt + one success
-    assert victim[0].retries == 1
-    assert victim[0].source == "computed"
-    assert trace.summary()["units_retried"] == 1
+    trace_id = run_traced(retries=2, retry_backoff=0.0)
+    victim = victim_span(unit_spans(spans))
+    assert victim["attempts"] == 2  # one poisoned attempt + one success
+    assert victim["source"] == "computed"
+    assert "units retried: 1 (5 total attempts)" in _run_trace_summary(trace_id)
 
 
-def test_trace_marks_skipped_units(inject):
+def test_trace_marks_skipped_units(inject, spans):
     inject("poison", times=99)
-    trace = RunTrace()
-    run(retries=0, failure_policy="skip-with-record", trace=trace)
-    victim = [r for r in trace.records if r.subarray == VICTIM][0]
-    assert victim.source == "skipped"
-    assert "poison" in victim.error
-    assert trace.summary()["skipped"] == 1
+    trace_id = run_traced(retries=0, failure_policy="skip-with-record")
+    victim = victim_span(unit_spans(spans))
+    assert victim["source"] == "skipped"
+    assert "poison" in victim["error"]
+    assert "1 skipped)" in _run_trace_summary(trace_id)
 
 
 # ---------------------------------------------------------------------------

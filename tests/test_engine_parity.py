@@ -134,19 +134,18 @@ def test_fault_tolerance_knobs_preserve_parity(tmp_path, workers):
 
 
 @pytest.mark.engine
-def test_trace_does_not_perturb_records(tmp_path):
-    from repro.core import RunTrace
+def test_trace_does_not_perturb_records(tmp_path, spans):
+    from repro import obs
 
     oracle_records = _oracle(WORST_CASE)
-    trace = RunTrace(tmp_path / "trace.jsonl")
     engine = CharacterizationEngine(
-        scale=QUICK_SCALE, workers=2, cache=OutcomeCache(), trace=trace,
+        scale=QUICK_SCALE, workers=2, cache=OutcomeCache(),
         serial_fallback=False,
     )
-    assert engine.characterize_modules(MODULES, WORST_CASE, INTERVALS) \
-        == oracle_records
-    trace.close()
-    assert len(trace.records) == len(oracle_records)
+    with obs.stream_spans(tmp_path / "trace.jsonl"):
+        assert engine.characterize_modules(MODULES, WORST_CASE, INTERVALS) \
+            == oracle_records
+    assert len(spans("engine.unit")) == len(oracle_records)
 
 
 @pytest.mark.engine

@@ -234,6 +234,33 @@ def test_resume_ignores_a_checkpoint_from_a_different_spec(tmp_path):
     assert result.resumed_from is None
 
 
+@pytest.mark.parametrize("damage", ("state-format", "missing-zeros"))
+def test_resume_restarts_from_a_checkpoint_it_cannot_rebuild(tmp_path, damage):
+    """A checkpoint with the current format and spec digest whose
+    aggregator state this build cannot rebuild is not resumable: the
+    campaign restarts, as for a format or spec mismatch, and ends where an
+    uninterrupted run does."""
+    spec = FleetSpec(**{**SPEC_KWARGS, "modules": 16, "seed": 6})
+    baseline = FleetCampaign(spec=spec).run()
+    FleetCampaign(spec=spec, checkpoint_dir=str(tmp_path), checkpoint_every=8).run()
+    store = CheckpointStore(tmp_path)
+    payload = store.latest()
+    if damage == "state-format":
+        payload["aggregator"]["format"] = 2
+    else:
+        del payload["aggregator"]["zeros"]
+    store.save(payload, payload["next_index"])
+
+    result = FleetCampaign(
+        spec=spec, checkpoint_dir=str(tmp_path), checkpoint_every=8
+    ).run()
+    assert result.complete
+    assert result.resumed_from is None
+    restarted, uninterrupted = result.snapshot(), baseline.snapshot()
+    del restarted["wall_s"], uninterrupted["wall_s"]
+    assert restarted == uninterrupted
+
+
 def test_checkpoint_store_skips_corrupt_newest(tmp_path):
     store = CheckpointStore(tmp_path, keep=3)
     store.save({"cursor": 1}, 1)

@@ -158,17 +158,40 @@ def test_render_report_empty():
 
 
 def test_spans_jsonl_round_trip(tmp_path):
+    """`stream_spans` appends each span as it finishes: the inner span is
+    on disk before the outer one ends, and the file holds exactly the
+    buffered records."""
     obs.enable()
-    with obs.span("outer", level=1):
-        with obs.span("inner"):
-            pass
-    path = obs.write_spans(obs.finished_spans(), tmp_path / "spans.jsonl")
+    path = tmp_path / "spans.jsonl"
+
+    def names_on_disk() -> list[str]:
+        return [json.loads(line)["name"] for line in path.read_text().splitlines()]
+
+    with obs.stream_spans(path):
+        with obs.span("outer", level=1):
+            with obs.span("inner"):
+                pass
+            assert names_on_disk() == ["inner"]
+    with obs.span("after"):  # outside the block: buffered, not streamed
+        pass
     records = [json.loads(line) for line in path.read_text().splitlines()]
-    assert [r["name"] for r in records] == ["inner", "outer"]
+    assert records == obs.finished_spans()[:2]
     inner, outer = records
     assert inner["parent_id"] == outer["span_id"]
     assert inner["attributes"] == {}
     assert outer["attributes"] == {"level": 1}
+
+
+def test_stream_spans_appends_and_none_is_a_noop(tmp_path):
+    obs.enable()
+    path = tmp_path / "spans.jsonl"
+    for name in ("first", "second"):
+        with obs.stream_spans(path), obs.span(name):
+            pass
+    with obs.stream_spans(None), obs.span("unstreamed"):
+        pass
+    names = [json.loads(line)["name"] for line in path.read_text().splitlines()]
+    assert names == ["first", "second"]
 
 
 def test_metrics_server_serves_current_state(populated_registry):

@@ -1,27 +1,31 @@
 """Cross-layer observability consistency: metrics snapshots must agree
-exactly with the campaign records and run traces the library produces —
-two views of the same events can never disagree.
+exactly with the campaign records and the ``engine.unit`` spans the
+library produces — two views of the same events can never disagree.
 
-Also the RunTrace.summary regression tests (empty / all-skipped traces) and
-span propagation across the engine's thread pool.
+Also the ``characterize --trace`` footer over empty, all-skipped and
+partly skipped runs, and the trace context code on the engine's pool
+threads sees.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import threading
 
 import pytest
 
+import repro
 from repro import obs
 from repro.chip.catalog import get_module
 from repro.chip.geometry import BankGeometry
+from repro.cli import _run_trace_summary
+from repro.core import engine as engine_module
 from repro.core.campaign import Campaign, CampaignScale, QUICK_SCALE
 from repro.core.config import WORST_CASE
 from repro.core.engine import FAULT_ENV, CharacterizationEngine
-from repro.core.telemetry import RunTrace, UnitTrace
 
 INTERVALS = (0.512, 16.0)
+UNITS = len(QUICK_SCALE.subarray_indices())  # one S0 pass: 1 chip, 1 bank
 
 
 @pytest.fixture(autouse=True)
@@ -70,23 +74,27 @@ def test_serial_campaign_metrics_match_records():
 
 
 @pytest.mark.engine
-def test_engine_metrics_match_trace_and_records():
+def test_engine_metrics_match_trace_and_records(spans):
     """The headline acceptance: engine_units_total, cells_flipped_total, and
-    engine unit counts must exactly match the UnitTrace/SubarrayRecord data
-    for the same run — including across pool workers."""
-    obs.enable()
-    trace = RunTrace()
+    engine unit counts must exactly match the engine.unit spans and the
+    SubarrayRecord data for the same run — including across pool
+    workers."""
     engine = CharacterizationEngine(
-        scale=QUICK_SCALE, workers=2, trace=trace, serial_fallback=False
+        scale=QUICK_SCALE, workers=2, serial_fallback=False
     )
     records = engine.characterize_modules(("S0", "M8"), WORST_CASE, INTERVALS)
     snapshot = obs.snapshot()
+    units = spans("engine.unit")
 
-    assert len(trace.records) == len(records)
+    assert len(units) == len(records)
+    assert [s["attributes"]["index"] for s in units] == list(range(len(records)))
+    assert [
+        (s["attributes"]["serial"], s["attributes"]["subarray"]) for s in units
+    ] == [(r.serial, r.subarray) for r in records]
     assert _counter_value(
         snapshot, "engine_units_total", source="computed"
-    ) == sum(1 for r in trace.records if r.source == "computed")
-    assert _counter_value(snapshot, "engine_units_total") == len(trace.records)
+    ) == sum(1 for s in units if s["attributes"]["source"] == "computed")
+    assert _counter_value(snapshot, "engine_units_total") == len(units)
     assert _counter_value(snapshot, "cells_flipped_total") == _expected_flips(
         records
     )
@@ -115,9 +123,9 @@ def test_engine_and_serial_paths_report_identical_flip_totals():
     "poison_once", (False, True), ids=("threads", "threads-poison-once")
 )
 def test_worker_spans_nest_under_campaign_span(poison_once, monkeypatch, tmp_path):
-    """Pool threads run each unit, first attempt or retry, in a copy of the
-    submitting context, so every unit span is a native child of the
-    campaign span on the campaign's trace."""
+    """Each unit, pool-computed on a first attempt or a retry, is one
+    ``engine.unit`` span recorded on the calling thread as a child of the
+    campaign span, on the campaign's trace."""
     victim = 1
     if poison_once:
         monkeypatch.setenv(
@@ -140,12 +148,49 @@ def test_worker_spans_nest_under_campaign_span(poison_once, monkeypatch, tmp_pat
     assert len(by_name["engine.characterize"]) == 1
     campaign_span = by_name["engine.characterize"][0]
     unit_spans = by_name["engine.unit"]
-    assert len(unit_spans) == len(QUICK_SCALE.subarray_indices())
-    assert [s["attributes"]["subarray"] for s in unit_spans].count(victim) == 1
+    assert len(unit_spans) == UNITS
+    assert sorted(s["attributes"]["subarray"] for s in unit_spans) == list(
+        QUICK_SCALE.subarray_indices()
+    )
+    (victim_span,) = [
+        s for s in unit_spans if s["attributes"]["subarray"] == victim
+    ]
+    assert victim_span["attributes"]["attempts"] == (2 if poison_once else 1)
     for unit_span in unit_spans:
+        assert unit_span["attributes"]["executor"] == "threads"
         assert unit_span["parent_id"] == campaign_span["span_id"]
         assert unit_span["trace_id"] == campaign_span["trace_id"]
         assert unit_span["pid"] == campaign_span["pid"]
+
+
+@pytest.mark.engine
+@pytest.mark.parametrize("attempts", ("first", "retry"))
+def test_pool_threads_see_the_campaign_context(attempts, monkeypatch, spans):
+    """A pool thread runs each attempt, first or retry, in a copy of the
+    submitting context, so code there (log records, timing wrappers) sees
+    the campaign span as the current trace context."""
+    victim = 1
+    seen = []
+    failed = threading.Event()
+    execute_unit = engine_module.execute_unit
+
+    def checking_execute_unit(unit, *args, **kwargs):
+        seen.append((threading.current_thread().name, obs.current_context()))
+        if attempts == "retry" and unit.subarray == victim and not failed.is_set():
+            failed.set()
+            raise RuntimeError("first attempt fails")
+        return execute_unit(unit, *args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "execute_unit", checking_execute_unit)
+    CharacterizationEngine(
+        scale=QUICK_SCALE, workers=2, retries=1, retry_backoff=0.0,
+        serial_fallback=False,
+    ).characterize_module("S0", WORST_CASE, INTERVALS)
+    (campaign,) = spans("engine.characterize")
+    expected = obs.TraceContext(campaign["trace_id"], campaign["span_id"])
+    assert len(seen) == UNITS + (attempts == "retry")
+    assert all(name.startswith("repro-engine") for name, _ in seen)
+    assert [context for _, context in seen] == [expected] * len(seen)
 
 
 def test_bender_command_counts_match_program(tiny_geometry):
@@ -249,70 +294,78 @@ def test_characterize_cli_snapshot_matches_records(tmp_path, capsys):
         "S0", WORST_CASE, intervals=(0.512, 16.0)
     )
     trace_lines = [
-        json.loads(line)
-        for line in trace_path.read_text().splitlines()
-        if line.strip() and "meta" not in json.loads(line)
+        json.loads(line) for line in trace_path.read_text().splitlines()
     ]
-    assert flat("engine_units_total") == len(trace_lines) == len(records)
+    unit_lines = [line for line in trace_lines if line["name"] == "engine.unit"]
+    assert flat("engine_units_total") == len(unit_lines) == len(records)
+    assert flat("engine_units_total", source="computed") == len(unit_lines)
     assert flat("cells_flipped_total") == _expected_flips(records)
     assert flat("engine_unit_seconds_count") == len(records)
-    # The trace file's meta header records the producing version.
-    from repro.core.telemetry import trace_meta
-
-    import repro
-
-    assert trace_meta(trace_path)["repro_version"] == repro.__version__
+    # The root span records the producing version.
+    (root,) = [line for line in trace_lines if line["parent_id"] is None]
+    assert root["name"] == "cli.characterize"
+    assert root["attributes"]["version"] == repro.__version__
 
 
 # ---------------------------------------------------------------------------
-# RunTrace.summary regression: empty and all-skipped traces
+# The `characterize --trace` footer: empty, all-skipped and partly
+# skipped runs
 # ---------------------------------------------------------------------------
 
-def test_empty_trace_summary_is_json_safe():
-    summary = RunTrace().summary()
-    assert summary["units"] == 0
-    assert summary["cache_hit_ratio"] == 0.0
-    assert summary["wall_p50_s"] is None
-    assert summary["wall_p95_s"] is None
-    assert summary["total_wall_s"] == 0.0
-    encoded = json.dumps(summary)  # NaN would make this invalid JSON
-    assert "NaN" not in encoded
-
-
-def test_all_skipped_trace_summary_is_json_safe():
-    trace = RunTrace()
-    for index in range(3):
-        trace.record(UnitTrace(
-            index=index, serial="S0", chip=0, bank=0, subarray=index,
-            source="skipped", wall_s=float("inf"), attempts=2,
-            error="injected",
-        ))
-    summary = trace.summary()
-    assert summary["units"] == 3
-    assert summary["skipped"] == 3
-    assert summary["wall_p50_s"] is None
-    assert summary["cache_hit_ratio"] == 0.0
-    assert math.isfinite(summary["total_wall_s"])
-    json.dumps(summary)
+def _footer(run) -> str:
+    """The footer over the engine.unit spans ``run()`` records."""
+    obs.enable()
+    with obs.span("test.run") as root:
+        run()
+    return _run_trace_summary(root.trace_id)
 
 
 def test_summary_table_renders_empty_trace():
-    text = RunTrace().summary_table()
-    assert "p50 n/a" in text
-    assert "p95 n/a" in text
+    no_subarrays = CampaignScale(QUICK_SCALE.geometry, subarrays=0)
+    footer = _footer(
+        lambda: CharacterizationEngine(scale=no_subarrays).characterize_module(
+            "S0", WORST_CASE, INTERVALS
+        )
+    )
+    assert footer.splitlines() == [
+        "run trace summary:",
+        "  units: 0 (0 computed, 0 memory hits, 0 disk hits, 0 skipped)",
+        "  cache hit ratio: 0.0%",
+        "  units retried: 0 (0 total attempts)",
+        "  unit latency: p50 n/a, p95 n/a",
+        "  computed latency: p50 n/a, p95 n/a",
+        "  cache-hit latency: p50 n/a, p95 n/a",
+        "  total unit wall time: 0.000 s",
+    ]
+
+
+def test_summary_table_renders_all_skipped_run(monkeypatch):
+    def poisoned(unit, *args, **kwargs):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(engine_module, "execute_unit", poisoned)
+    footer = _footer(
+        lambda: CharacterizationEngine(
+            scale=QUICK_SCALE, retries=1, retry_backoff=0.0,
+            failure_policy="skip-with-record",
+        ).characterize_module("S0", WORST_CASE, INTERVALS)
+    )
+    assert f"  units: {UNITS} (0 computed, 0 memory hits, 0 disk hits, " \
+        f"{UNITS} skipped)" in footer
+    assert "  cache hit ratio: 0.0%" in footer
+    assert f"  units retried: {UNITS} ({2 * UNITS} total attempts)" in footer
+    assert "  unit latency: p50 n/a, p95 n/a" in footer
+    assert "  total unit wall time: 0.000 s" in footer
 
 
 def test_summary_percentiles_skip_skipped_units():
-    trace = RunTrace()
-    trace.record(UnitTrace(
-        index=0, serial="S0", chip=0, bank=0, subarray=0,
-        source="computed", wall_s=1.0, attempts=1,
-    ))
-    trace.record(UnitTrace(
-        index=1, serial="S0", chip=0, bank=0, subarray=1,
-        source="skipped", wall_s=float("inf"), attempts=3, error="x",
-    ))
-    summary = trace.summary()
-    assert summary["wall_p50_s"] == 1.0
-    assert summary["total_wall_s"] == 1.0
-    assert summary["units_retried"] == 1
+    def two_units():
+        obs.record_span("engine.unit", 0.0, 1.0, source="computed", attempts=1)
+        obs.record_span(
+            "engine.unit", 0.0, 0.0, source="skipped", attempts=3, error="x"
+        )
+
+    footer = _footer(two_units)
+    assert "  unit latency: p50 1000.00 ms, p95 1000.00 ms" in footer
+    assert "  total unit wall time: 1.000 s" in footer
+    assert "  units retried: 1 (4 total attempts)" in footer

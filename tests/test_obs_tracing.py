@@ -56,6 +56,43 @@ def test_sibling_roots_get_distinct_traces():
 
 
 # ---------------------------------------------------------------------------
+# Spans timed elsewhere
+# ---------------------------------------------------------------------------
+
+def test_record_span_is_a_child_of_the_active_span():
+    obs.enable()
+    with obs.span("batch") as batch:
+        obs.record_span("unit", 100.0, 0.25, index=3)
+    unit, _ = obs.finished_spans()
+    assert unit["name"] == "unit"
+    assert (unit["parent_id"], unit["trace_id"]) == (batch.span_id, batch.trace_id)
+    assert (unit["start_unix"], unit["duration_s"]) == (100.0, 0.25)
+    assert unit["attributes"] == {"index": 3}
+    assert re.fullmatch(r"[0-9a-f]{16}", unit["span_id"])
+    assert unit["span_id"] != batch.span_id
+
+
+def test_record_span_resolves_its_parent_as_a_span_would():
+    obs.enable()
+    context = obs.TraceContext(trace_id=VALID_TRACE, span_id=VALID_SPAN)
+    with obs.use_context(context):
+        obs.record_span("remote-child", 0.0, 0.0)
+    obs.record_span("root", 0.0, 0.0)
+    remote_child, root = obs.finished_spans()
+    assert (remote_child["parent_id"], remote_child["trace_id"]) == (
+        VALID_SPAN, VALID_TRACE,
+    )
+    assert root["parent_id"] is None
+    assert re.fullmatch(r"[0-9a-f]{32}", root["trace_id"])
+    assert root["trace_id"] != VALID_TRACE
+
+
+def test_record_span_is_a_noop_while_disabled():
+    obs.record_span("unit", 0.0, 1.0)
+    assert obs.finished_spans() == []
+
+
+# ---------------------------------------------------------------------------
 # traceparent inject / extract
 # ---------------------------------------------------------------------------
 
