@@ -8,6 +8,9 @@ things the serving layer promises:
 * one sequential repeat after the burst is answered from the memory tier:
   the identical payload, no new engine job (``/healthz`` ``stats.jobs``)
   and ``stats.answered`` one higher;
+* two concurrent cold requests at two fresh temperatures (two batches,
+  which run side by side when the server has a lane per CPU to spare)
+  each answer 200 with the records of an in-process ``Campaign`` run;
 * two concurrent ``/v1/risk`` requests on a bank whose row count is not a
   power of two (M8, an XOR-mapped module, at 3 x 128 x 256) answer 200
   with identical payloads equal to the in-process ``refresh_window_risk``;
@@ -45,6 +48,7 @@ REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 REQUEST = {"serial": "S0", "subarrays": 2, "rows": 64, "columns": 128,
            "intervals": [0.512, 16.0]}
 CLIENTS = 6
+COLD_TEMPERATURES = (45.0, 65.0)
 RISK_REQUEST = {"serial": "M8", "subarrays": 3, "rows": 128, "columns": 256}
 RISK_CLIENTS = 2
 
@@ -54,24 +58,25 @@ def fail(reason: str) -> NoReturn:
     sys.exit(1)
 
 
-def concurrent_calls(port: int, count: int, call) -> list:
-    """Run ``call(client)`` from ``count`` clients released together;
-    fails the smoke if any call raises or does not complete."""
+def concurrent_calls(port: int, calls: list) -> list:
+    """Run each ``call(client)`` of ``calls`` from its own client, all
+    released together; fails the smoke if any call raises or does not
+    complete."""
     from repro.serve import ServeClient
 
-    results: list = [None] * count
+    results: list = [None] * len(calls)
     errors: list = []
-    barrier = threading.Barrier(count)
+    barrier = threading.Barrier(len(calls))
 
     def hit(index: int) -> None:
         with ServeClient(port=port) as client:
             barrier.wait()
             try:
-                results[index] = call(client)
+                results[index] = calls[index](client)
             except Exception as exc:
                 errors.append(exc)
 
-    threads = [threading.Thread(target=hit, args=(i,)) for i in range(count)]
+    threads = [threading.Thread(target=hit, args=(i,)) for i in range(len(calls))]
     for thread in threads:
         thread.start()
     for thread in threads:
@@ -80,9 +85,30 @@ def concurrent_calls(port: int, count: int, call) -> list:
         fail(f"a concurrent request failed: {errors[0]}")
     if any(result is None for result in results):
         fail("a concurrent request did not complete")
+    return results
+
+
+def duplicate_calls(port: int, count: int, call) -> list:
+    """`concurrent_calls` of one ``call`` from ``count`` clients; fails
+    the smoke unless every payload is the same."""
+    results = concurrent_calls(port, [call] * count)
     if any(result != results[0] for result in results):
         fail("concurrent duplicate requests returned different payloads")
     return results
+
+
+def campaign_records(body: dict) -> list:
+    """The records of an in-process `Campaign` run of one characterize
+    request, as JSON values."""
+    from repro.core import Campaign
+    from repro.serve import CharacterizeRequest
+    from repro.serve.protocol import record_to_json
+
+    request = CharacterizeRequest.from_json(body)
+    records = Campaign(scale=request.scale).characterize_module(
+        request.serial, request.config, intervals=request.intervals
+    )
+    return json.loads(json.dumps([record_to_json(record) for record in records]))
 
 
 def scheduler_counters(client, fleet: bool) -> dict:
@@ -138,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
             else "server"
         print(f"serve_smoke: {role} up on port {port}")
 
-        results = concurrent_calls(
+        results = duplicate_calls(
             port, CLIENTS, lambda client: client.characterize(REQUEST)
         )
         if len(results[0]["records"]) != REQUEST["subarrays"]:
@@ -163,7 +189,23 @@ def main(argv: list[str] | None = None) -> int:
         print("serve_smoke: sequential repeat answered from memory, "
               "identical payload, no engine job")
 
-        risks = concurrent_calls(
+        lanes = after.get("lanes", 0)
+        if lanes < 1:
+            fail(f"the scheduler reports {lanes} submission lanes")
+        colds = [{**REQUEST, "temperature_c": t} for t in COLD_TEMPERATURES]
+        answers = concurrent_calls(port, [
+            lambda client, body=body: client.characterize(body) for body in colds
+        ])
+        for body, answer in zip(colds, answers):
+            if answer["records"] != campaign_records(body):
+                fail(f"cold request at {body['temperature_c']} C differs "
+                     "from the in-process Campaign run")
+        where = " across the fleet" if args.fleet else ""
+        print(f"serve_smoke: {len(colds)} concurrent cold requests at "
+              f"{', '.join(f'{t:g}' for t in COLD_TEMPERATURES)} C OK, equal "
+              f"to the in-process Campaign ({lanes} lane(s){where})")
+
+        risks = duplicate_calls(
             port, RISK_CLIENTS, lambda client: client.risk(RISK_REQUEST)
         )
         risk_request = RiskRequest.from_json(RISK_REQUEST)

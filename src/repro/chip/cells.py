@@ -16,7 +16,7 @@ import numpy as np
 from repro import obs
 from repro._util.rng import derive_rng
 from repro.physics.constants import V_PRECHARGE
-from repro.physics.coupling import times_to_flip, total_leakage_rates
+from repro.physics.coupling import _times_to_flip_in_place, total_leakage_rates
 from repro.physics.profile import DisturbanceProfile
 
 _POPULATIONS_SAMPLED = obs.counter(
@@ -136,9 +136,10 @@ class CellPopulation:
 
         Retention times depend only on the population and the temperature —
         never on the disturb condition — so they are computed once per
-        temperature and memoized.  Callers must treat the returned arrays as
-        read-only (`disturb_outcome` composes them with ``np.where``, which
-        copies).
+        temperature and memoized.  The returned arrays are read-only: an
+        outcome may hold them as they are (`disturb_outcome` does when every
+        cell is charged), and an in-place write raises instead of changing
+        the memo under every later caller.
         """
         key = float(temperature_c)
         if key not in self._retention_cache:
@@ -155,10 +156,13 @@ class CellPopulation:
                 self.profile,
                 key,
             )
-            self._retention_cache[key] = (
-                times_to_flip(nominal_rates),
-                times_to_flip(worst_rates),
+            times = (
+                _times_to_flip_in_place(nominal_rates),
+                _times_to_flip_in_place(worst_rates),
             )
+            for array in times:
+                array.flags.writeable = False
+            self._retention_cache[key] = times
         return self._retention_cache[key]
 
     def vrt_jitter(self, trial_nonce: object) -> np.ndarray:

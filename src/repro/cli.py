@@ -1117,6 +1117,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     metrics_path = getattr(args, "metrics", None)
     metrics_port = getattr(args, "metrics_port", None)
     trace_path = getattr(args, "trace", None)
+    # An in-process caller gets back the observability state it had.
+    was_enabled = obs.is_enabled()
     if metrics_path or metrics_port is not None or trace_path:
         obs.enable()
     server = None
@@ -1155,4 +1157,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             server.close()
         if metrics_path and obs.is_enabled():
             obs.write_metrics(obs.REGISTRY, metrics_path)
+        if not was_enabled:
+            obs.disable()
     return 0

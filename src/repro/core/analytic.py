@@ -27,7 +27,7 @@ from repro.chip.datapattern import expand_pattern
 from repro.chip.timing import DDR4, TimingParameters
 from repro.core.config import SEARCH_INTERVAL, DisturbConfig
 from repro.physics.constants import V_PRECHARGE
-from repro.physics.coupling import times_to_flip, total_leakage_rates
+from repro.physics.coupling import _times_to_flip_in_place, total_leakage_rates
 
 #: Default event horizon of `SubarrayOutcome.summarize`: interval metrics can
 #: be answered from a summary for any interval up to its horizon.  128 s is
@@ -422,13 +422,16 @@ def disturb_outcome(
         )
 
     temperature = config.temperature_c
-    cd_rates = total_leakage_rates(
-        population.lambda_int, population.kappa, multipliers, profile, temperature
+    cd_times = _times_to_flip_in_place(
+        total_leakage_rates(
+            population.lambda_int, population.kappa, multipliers, profile, temperature
+        )
     )
-    cd_times = times_to_flip(cd_rates)
     # Discharged victim cells cannot flip (ColumnDisturb is 1 -> 0 only).
     charged = (victim_bits == 1)[np.newaxis, :] ^ population.anti_mask
-    cd_times = np.where(charged, cd_times, np.inf)
+    all_charged = bool(charged.all())
+    if not all_charged:
+        np.copyto(cd_times, np.inf, where=~charged)
 
     included_rows = np.ones(population.rows, dtype=bool)
     if role is SubarrayRole.AGGRESSOR:
@@ -440,8 +443,10 @@ def disturb_outcome(
         cd_times[lo:hi, :] = np.inf
 
     retention_nominal, retention_worst = population.retention_time_arrays(temperature)
-    retention_nominal = np.where(charged, retention_nominal, np.inf)
-    retention_worst = np.where(charged, retention_worst, np.inf)
+    if not all_charged:
+        # The memoized arrays are shared and read-only: mask copies.
+        retention_nominal = np.where(charged, retention_nominal, np.inf)
+        retention_worst = np.where(charged, retention_worst, np.inf)
 
     return SubarrayOutcome(
         cd_times=cd_times,
@@ -479,6 +484,6 @@ def retention_time_arrays(
     """(nominal, conservative-worst-VRT) per-cell retention times.
 
     Memoized per (population, temperature) on the population itself — see
-    `CellPopulation.retention_time_arrays`.  Treat the result as read-only.
+    `CellPopulation.retention_time_arrays`.  The arrays are read-only.
     """
     return population.retention_time_arrays(temperature_c)

@@ -179,8 +179,8 @@ class OutcomeCache:
     ) -> None:
         self._memory: OrderedDict[str, OutcomeSummary] = OrderedDict()
         # Fleet pool threads share one cache, and the serve event loop
-        # reads it while the submission lane writes: the memory tier, its
-        # byte total and the lookup counters change only under this lock.
+        # reads it while the submission lanes write: the memory tier, its
+        # byte total and the tier counters change only under this lock.
         self._memory_lock = threading.Lock()
         self.memory_bytes = 0
         self.max_memory_entries = max_memory_entries
@@ -263,8 +263,14 @@ class OutcomeCache:
         return self.lookup(key, min_horizon)[0]
 
     def put(self, key: str, summary: OutcomeSummary) -> None:
-        """Store a summary in memory (and on disk when configured)."""
-        self._remember(key, summary)
+        """Store a summary in memory (and on disk when configured).
+
+        Entries only grow: when the memory tier already holds a summary of
+        ``key`` with a longer horizon (another thread computed the same
+        unit further out), that one is kept and nothing is written.
+        """
+        if not self._remember(key, summary):
+            return
         _PUTS.inc()
         if self.directory is not None:
             self._save(key, summary)
@@ -303,13 +309,19 @@ class OutcomeCache:
     # ------------------------------------------------------------------
     # Memory tier
     # ------------------------------------------------------------------
-    def _remember(self, key: str, summary: OutcomeSummary) -> None:
-        """Hold ``summary`` as the most recent entry, replacing any older
-        summary of ``key``, and keep ``memory_bytes`` equal to the sum of
-        the held entries' bytes."""
+    def _remember(self, key: str, summary: OutcomeSummary) -> bool:
+        """Hold ``summary`` as the most recent entry, replacing any summary
+        of ``key`` with a horizon no longer than its own, and keep
+        ``memory_bytes`` equal to the sum of the held entries' bytes.
+
+        Returns ``False``, holding nothing new, when the held summary of
+        ``key`` answers a longer horizon.
+        """
         with self._memory_lock:
             replaced = self._memory.get(key)
             if replaced is not None:
+                if replaced.horizon > summary.horizon:
+                    return False
                 self.memory_bytes -= replaced.nbytes
             self._memory[key] = summary
             self._memory.move_to_end(key)
@@ -320,6 +332,7 @@ class OutcomeCache:
                     self.memory_bytes -= evicted.nbytes
                     self.evictions += 1
                     _EVICTIONS.inc()
+        return True
 
     # ------------------------------------------------------------------
     # Disk tier
@@ -340,7 +353,8 @@ class OutcomeCache:
         existed = path.exists()
         durable.atomic_write(path, [header, *arrays])
         if not existed:
-            self.disk_entries += 1
+            with self._memory_lock:
+                self.disk_entries += 1
 
     def _load(self, key: str) -> OutcomeSummary | None:
         path = self._path(key)
@@ -350,8 +364,9 @@ class OutcomeCache:
             return None
         except (OSError, ValueError):
             if durable.quarantine(path):
-                self.quarantined += 1
-                self.disk_entries = max(0, self.disk_entries - 1)
+                with self._memory_lock:
+                    self.quarantined += 1
+                    self.disk_entries = max(0, self.disk_entries - 1)
                 _QUARANTINED.inc()
             return None
 

@@ -98,7 +98,18 @@ def total_leakage_rates(
     intrinsic = lambda_int * a_int
     if vrt is not None:
         intrinsic = intrinsic * vrt
-    return intrinsic + kappa * (a_cd * np.asarray(coupling_multiplier))
+    coupling = kappa * (a_cd * np.asarray(coupling_multiplier))
+    if (
+        isinstance(coupling, np.ndarray)
+        and coupling.dtype == np.result_type(intrinsic, coupling)
+        and coupling.shape == np.broadcast_shapes(np.shape(intrinsic), coupling.shape)
+    ):
+        # IEEE addition commutes, so summing into the fresh coupling term
+        # is ``intrinsic + coupling`` bit for bit, without a second
+        # full-size temporary.
+        coupling += intrinsic
+        return coupling
+    return intrinsic + coupling
 
 
 def flip_mask(rates: np.ndarray, duration: float) -> np.ndarray:
@@ -129,3 +140,17 @@ def times_to_flip(rates: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         np.divide(Q_CRIT, rates, out=out, where=rates > 0)
     return out
+
+
+def _times_to_flip_in_place(rates: np.ndarray) -> np.ndarray:
+    """`times_to_flip` written over ``rates``, for a caller that owns a
+    fresh rates array and has no further use for it."""
+    if rates.dtype != np.float64:
+        # `times_to_flip` answers in float64 (NumPy 1.x promotion leaves a
+        # float32 population times a scalar multiplier in float32).
+        return times_to_flip(rates)
+    positive = rates > 0
+    with np.errstate(divide="ignore"):
+        np.divide(Q_CRIT, rates, out=rates, where=positive)
+    np.copyto(rates, np.inf, where=np.logical_not(positive, out=positive))
+    return rates

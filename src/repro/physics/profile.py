@@ -191,9 +191,8 @@ class DisturbanceProfile:
     ) -> np.ndarray:
         """Sample per-cell intrinsic leakage rates (1/s at 85C)."""
         mu = -math.log(self.median_retention)
-        return np.exp(
-            rng.normal(mu, self.sigma_retention, size=shape).astype(np.float32)
-        )
+        rates = rng.normal(mu, self.sigma_retention, size=shape).astype(np.float32)
+        return np.exp(rates, out=rates)
 
     def sample_kappas(
         self,
@@ -210,7 +209,8 @@ class DisturbanceProfile:
         (see `sample_subarray_scale`).
         """
         mu = math.log(self.scaled_kappa_median())
-        raw = np.exp(rng.normal(mu, self.sigma_kappa, size=shape).astype(np.float32))
+        raw = rng.normal(mu, self.sigma_kappa, size=shape).astype(np.float32)
+        np.exp(raw, out=raw)
         if row_factors is not None:
             if row_factors.shape != (shape[0],):
                 raise ValueError("row_factors must have one entry per row")

@@ -14,10 +14,10 @@ order to every submitted request:
    characterize request whose every work unit the `OutcomeCache` memory
    tier already holds, at the horizon the request needs, is answered at
    once on the event loop.  It waits for no batch window, takes no queue
-   slot and never reaches the lane.  The scheduler probes units in plan
+   slot and never reaches a lane.  The scheduler probes units in plan
    order (`OutcomeCache.holds`) and stops at the first one that is not
    held, so a cold request pays one key and one probe before it queues.
-   Disk-tier hits and risk requests still go through the lane, which
+   Disk-tier hits and risk requests still go through a lane, which
    keeps file I/O off the loop.
 
 3. **Micro-batching.**  Any other primary (non-coalesced) request does
@@ -42,17 +42,23 @@ order to every submitted request:
    immediately, and `drain` returns once every admitted request has
    completed.
 
-Execution happens on a single worker thread (``run_in_executor``), which
-serializes engine submissions — the engine itself fans out to worker
-threads when ``workers > 1``.  The event loop looks units up in the
-`OutcomeCache` while the lane writes to it; the cache's memory lock
-keeps both sides consistent.
+Execution happens on submission lanes (``run_in_executor``): one thread
+per CPU (``os.cpu_count()``, worked out once when the scheduler is built),
+so independent cold batches — two temperatures, say — run side by side,
+and a 1-CPU host keeps one lane that runs batches in order.  ``workers``
+is the engine's own thread count per submission, in each lane.  The event
+loop looks units up in the `OutcomeCache` while the lanes write to it;
+the cache's memory lock keeps every side consistent, and a summary only
+ever grows in the memory tier, so two lanes that compute one unit to two
+horizons leave the longer one held.
 """
 
 from __future__ import annotations
 
 import asyncio
 import math
+import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -82,7 +88,7 @@ _COALESCED = obs.counter(
 _ANSWERED = obs.counter(
     "serve_answered_total",
     "Requests answered from the outcome cache's memory tier at submit, "
-    "without a batch or the submission lane.",
+    "without a batch or a submission lane.",
 )
 _REJECTED = obs.counter(
     "serve_rejected_total",
@@ -99,7 +105,7 @@ _BATCH_SIZE = obs.histogram(
 )
 _BATCH_SECONDS = obs.histogram(
     "serve_batch_seconds",
-    "Wall-clock seconds per batch execution on the submission lane.",
+    "Wall-clock seconds per batch execution on a submission lane.",
 )
 _BATCH_FAILURES = obs.counter(
     "serve_batch_failures_total",
@@ -125,8 +131,11 @@ class DrainingError(RuntimeError):
 class RequestScheduler:
     """Coalescing micro-batch scheduler over the characterization engine.
 
+    One submission lane per CPU; ``lanes`` holds the count.
+
     Args:
-        workers: engine worker threads per submission (0 = in-process).
+        workers: engine worker threads per submission, in each lane
+            (0 = in-process).
         cache: shared `OutcomeCache`; created in-memory when ``None``.
         max_queue: admission bound on primary (non-coalesced) requests.
         batch_window_s: how long a bucket collects before executing.
@@ -147,7 +156,9 @@ class RequestScheduler:
         self.max_queue = max_queue
         self.batch_window_s = batch_window_s
         self.max_batch = max_batch
+        self.lanes = os.cpu_count() or 1
         self.stats = {
+            "lanes": self.lanes,
             "requests": 0,
             "coalesced": 0,
             "answered": 0,
@@ -164,8 +175,9 @@ class RequestScheduler:
         self._queued = 0
         self._draining = False
         self._ewma_batch_s = batch_window_s
+        self._ewma_lock = threading.Lock()
         self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve"
+            max_workers=self.lanes, thread_name_prefix="repro-serve"
         )
 
     # ------------------------------------------------------------------
@@ -182,8 +194,10 @@ class RequestScheduler:
 
     def retry_after(self) -> float:
         """Back-off hint for a refused request: the time the current
-        queue is expected to take to clear, floored at one second."""
-        expected = self._queued * max(self._ewma_batch_s, self.batch_window_s)
+        queue is expected to take to clear on every lane, floored at one
+        second."""
+        batch_s = max(self._ewma_batch_s, self.batch_window_s)
+        expected = self._queued * batch_s / self.lanes
         return float(min(30, max(1, math.ceil(expected))))
 
     async def submit(self, request: CharacterizeRequest | RiskRequest):
@@ -245,14 +259,14 @@ class RequestScheduler:
 
     def _answer_from_memory(self, request: CharacterizeRequest) -> dict | None:
         """The response payload, if the memory tier holds every unit of
-        ``request`` at the horizon it needs; ``None`` sends it to the lane.
+        ``request`` at the horizon it needs; ``None`` sends it to a lane.
 
         Every unit is probed before any is looked up, so only a request
         that can be answered whole touches the hit counters, and each
         lookup keeps the counters, recency and gauges exact.  A unit
         evicted between its probe and its lookup (only a bounded memory
         tier evicts) is read from the disk tier if there is one; if it is
-        not there either, the request falls back to the lane.
+        not there either, the request falls back to a lane.
         """
         horizon = max((SEARCH_INTERVAL, *request.intervals))
         spec = get_module(request.serial)
@@ -344,7 +358,7 @@ class RequestScheduler:
             future.set_result(result)
 
     # ------------------------------------------------------------------
-    # Execution (submission-lane thread)
+    # Execution (submission-lane threads)
     # ------------------------------------------------------------------
     def _execute_batch(
         self, batch_key: tuple, requests: list, contexts: list | None = None
@@ -368,7 +382,8 @@ class RequestScheduler:
                     results = self._execute_risk(requests)
         wall = time.perf_counter() - start
         _BATCH_SECONDS.observe(wall)
-        self._ewma_batch_s += 0.25 * (wall - self._ewma_batch_s)
+        with self._ewma_lock:  # every lane finishes batches
+            self._ewma_batch_s += 0.25 * (wall - self._ewma_batch_s)
         return results
 
     def _execute_characterize(self, requests: list[CharacterizeRequest]) -> list[dict]:
@@ -437,7 +452,7 @@ class RequestScheduler:
             self._flush(batch_key)
 
     async def drain(self) -> None:
-        """Complete every admitted request, then release the lane."""
+        """Complete every admitted request, then release the lanes."""
         self.begin_drain()
         while self._jobs:
             await asyncio.gather(*list(self._jobs), return_exceptions=True)
@@ -454,7 +469,7 @@ def _characterize_payload(
     summaries: list[OutcomeSummary | None],
 ) -> dict:
     """The ``/v1/characterize`` response for ``request``: one record per
-    unit, in plan order, at the request's own intervals.  Both the lane
+    unit, in plan order, at the request's own intervals.  Both the lanes
     and the answered path build responses here, so they are the same
     bytes."""
     intervals = tuple(request.intervals)

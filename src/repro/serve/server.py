@@ -381,10 +381,11 @@ async def _run_async(config: ServeConfig) -> None:
         loop.add_signal_handler(sig, _request_stop, sig.name)
     await server.start()
     _LOG.info(
-        "repro serve: listening on http://%s:%d (workers=%d, "
+        "repro serve: listening on http://%s:%d (lanes=%d, workers=%d, "
         "max_queue=%d, batch_window=%gms)",
         config.host,
         server.port,
+        server.scheduler.lanes,
         config.workers,
         config.max_queue,
         config.batch_window_ms,

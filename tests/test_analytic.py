@@ -1,5 +1,7 @@
 """Analytic fast path: multipliers, outcomes, filters, metrics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from repro.core import (
     retention_outcome,
     retention_time_arrays,
 )
+from repro.core.analytic import GUARDBAND_ROWS
+from repro.physics.coupling import times_to_flip, total_leakage_rates
 
 PROFILE = get_module("S0").profile
 
@@ -110,6 +114,55 @@ def test_outcome_only_charged_cells_flip(population):
     victim_bits = expand_pattern(0xAA, population.columns)
     zero_columns = np.nonzero(victim_bits == 0)[0]
     assert np.isinf(outcome.cd_times[:, zero_columns]).all()
+
+
+@pytest.mark.parametrize("anti_fraction,victim_pattern", [
+    (0.25, 0xFF),  # anti cells hold '1' discharged
+    (0.0, 0xAA),  # a mixed victim pattern
+    (0.25, 0x55),
+])
+def test_uncharged_cells_masked_as_np_where(anti_fraction, victim_pattern):
+    """With uncharged cells the outcome masks its own flip times in place
+    and copies the retention arrays: the same bits as `np.where` over
+    fresh arrays, and the population's memo is left as it was."""
+    profile = dataclasses.replace(PROFILE, anti_cell_fraction=anti_fraction)
+    population = CellPopulation(
+        key=("S0", 0, 0, 1), profile=profile, rows=64, columns=256
+    )
+    config = DisturbConfig(aggressor_pattern=0x00, victim_pattern=victim_pattern)
+    outcome = disturb_outcome(
+        population, config, DDR4, SubarrayRole.AGGRESSOR, aggressor_local_row=32
+    )
+    multipliers = aggressor_column_multipliers(
+        profile, expand_pattern(0x00, 256), max(config.t_agg_on, DDR4.t_ras), DDR4.t_rp
+    )
+    rates = total_leakage_rates(
+        population.lambda_int, population.kappa, multipliers, profile, 85.0
+    )
+    victim = expand_pattern(victim_pattern, 256) == 1
+    charged = victim[np.newaxis, :] ^ population.anti_mask
+    assert not charged.all()
+    cd_times = np.where(charged, times_to_flip(rates), np.inf)
+    cd_times[32 - GUARDBAND_ROWS : 32 + GUARDBAND_ROWS + 1] = np.inf
+    nominal, worst = population.retention_time_arrays(85.0)
+    assert outcome.cd_times.tobytes() == cd_times.tobytes()
+    assert outcome.retention_nominal.tobytes() == np.where(charged, nominal, np.inf).tobytes()
+    assert outcome.retention_worst.tobytes() == np.where(charged, worst, np.inf).tobytes()
+    assert np.isfinite(nominal).all() and np.isfinite(worst).all()
+
+
+def test_all_charged_outcome_holds_the_read_only_memo(population):
+    """Every cell charged (victim all 1, no anti cells): the outcome holds
+    the population's memoized retention arrays, which refuse writes."""
+    outcome = disturb_outcome(
+        population, WORST_CASE, DDR4, SubarrayRole.AGGRESSOR, aggressor_local_row=32
+    )
+    nominal, worst = population.retention_time_arrays(WORST_CASE.temperature_c)
+    assert outcome.retention_nominal is nominal
+    assert outcome.retention_worst is worst
+    with pytest.raises(ValueError, match="read-only"):
+        outcome.retention_worst[0, 0] = 0.0
+    assert outcome.cd_times.flags.writeable
 
 
 def test_time_to_first_flip_capped_at_search_interval(population):

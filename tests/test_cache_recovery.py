@@ -175,6 +175,25 @@ def test_insufficient_disk_entry_not_promoted(tmp_path, unit):
         == cache.stats["lookups"]
 
 
+def test_shorter_put_keeps_the_longer_entry(tmp_path, unit):
+    """Entries only grow: a later, shorter put of the same key — two serve
+    lanes computing one unit to two horizons, the short one finishing
+    last — leaves the longer summary held, in memory and on disk."""
+    key = unit.cache_key()
+    cache = OutcomeCache(tmp_path)
+    long = execute_unit(unit, horizon=16.0)
+    cache.put(key, long)
+    cache.put(key, execute_unit(unit, horizon=0.512))
+    assert cache.lookup(key, min_horizon=16.0) == (long, "memory")
+    assert cache.stats["memory_bytes"] == long.nbytes
+    assert OutcomeCache(tmp_path).lookup(key, min_horizon=16.0)[1] == "disk"
+    # An equal or longer summary still replaces the entry.
+    longer = execute_unit(unit, horizon=32.0)
+    cache.put(key, longer)
+    assert cache.get(key, min_horizon=32.0) is longer
+    assert OutcomeCache(tmp_path).lookup(key, min_horizon=32.0)[1] == "disk"
+
+
 def test_lookup_reports_tier(tmp_path, unit, summary):
     key = unit.cache_key()
     OutcomeCache(tmp_path).put(key, summary)

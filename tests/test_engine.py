@@ -2,17 +2,19 @@
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.chip import DDR4, get_module
+from repro.chip import DDR4, BankGeometry, get_module
 from repro.chip.cells import CellPopulation
 from repro.core import (
     DEFAULT_ENGINE_HORIZON,
     QUICK_SCALE,
     SEARCH_INTERVAL,
     WORST_CASE,
+    CampaignScale,
     CharacterizationEngine,
     OutcomeCache,
     OutcomeSummary,
@@ -34,6 +36,23 @@ def make_outcome(serial="S0", rows=64, columns=128, config=WORST_CASE):
         population, config, DDR4, SubarrayRole.AGGRESSOR,
         aggressor_local_row=rows // 2,
     )
+
+
+def test_execute_unit_allocation_peak_per_cell():
+    """One unit at the serve default shape (256 x 512 cells, 16 s horizon)
+    peaks at no more than 48 traced bytes per cell: the outcome is built
+    in place over its rates and holds the population's retention memo
+    instead of masked copies.  Serve lanes each keep a unit in flight."""
+    geometry = BankGeometry(subarrays=4, rows_per_subarray=256, columns=512)
+    unit = plan_units(("S0",), WORST_CASE, CampaignScale(geometry))[0]
+    execute_unit(unit, horizon=16.0)  # imports and catalog state first
+    tracemalloc.start()
+    try:
+        execute_unit(unit, horizon=16.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (256 * 512) <= 48.0
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +266,36 @@ def test_cache_memory_bytes_exact_under_concurrent_puts():
     held = [summary for summary in map(cache.get, keys) if summary is not None]
     assert len(held) == 8
     assert cache.stats["memory_bytes"] == sum(summary.nbytes for summary in held)
+
+
+def test_cache_concurrent_puts_keep_the_longest_horizon():
+    """Serve lanes that compute one unit to several horizons race their
+    puts: whichever finishes last, every key ends at its longest."""
+    empty = np.empty(0)
+    by_horizon = [
+        OutcomeSummary(1, 1, float(h), 0.0, np.zeros(h), empty, empty, empty, empty, empty)
+        for h in range(1, 6)
+    ]
+    keys = [f"key-{i}" for i in range(4)]
+    cache = OutcomeCache()
+
+    def hammer(seed):
+        for step in range(2000):
+            cache.put(keys[(seed + step) % 4], by_horizon[(seed * step) % 5])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [cache.get(key).horizon for key in keys] == [5.0] * 4
+    assert cache.stats["memory_bytes"] == 4 * by_horizon[-1].nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -307,6 +307,24 @@ def test_characterize_cli_snapshot_matches_records(tmp_path, capsys):
     assert root["attributes"]["version"] == repro.__version__
 
 
+def test_cli_main_restores_the_observability_state(tmp_path, capsys):
+    """`--trace` turns observability on for one command only: an
+    in-process caller gets back the state it had, on or off."""
+    from repro.cli import main
+
+    obs.disable()
+    assert main(["mitigations", "M8", "--trace", str(tmp_path / "t.jsonl")]) == 0
+    assert not obs.is_enabled()
+    obs.enable()
+    try:
+        assert main(["mitigations", "M8", "--trace", str(tmp_path / "u.jsonl")]) == 0
+        assert obs.is_enabled()
+    finally:
+        obs.disable()
+        obs.reset()
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # The `characterize --trace` footer: empty, all-skipped and partly
 # skipped runs

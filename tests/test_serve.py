@@ -184,6 +184,103 @@ def test_full_queue_raises_queue_full_with_retry_after():
     assert stats["jobs"] == 1
 
 
+# ---------------------------------------------------------------------------
+# Submission lanes: one per CPU
+# ---------------------------------------------------------------------------
+
+def _two_temperatures() -> list[CharacterizeRequest]:
+    """Two cold requests in two batches (the batch key has the temperature)."""
+    return [
+        CharacterizeRequest.from_json({**REQ, "temperature_c": temperature})
+        for temperature in (45.0, 65.0)
+    ]
+
+
+def test_cold_batches_at_two_temperatures_run_side_by_side(monkeypatch):
+    """With two CPUs, two cold batches are inside the lanes at once: each
+    waits at a two-party barrier that only the other can release."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    barrier = threading.Barrier(2, timeout=5)
+
+    async def scenario():
+        scheduler = RequestScheduler(batch_window_s=0.01)
+        real_execute = scheduler._execute_batch
+
+        def meet_then_execute(batch_key, requests, contexts=None):
+            barrier.wait()
+            return real_execute(batch_key, requests, contexts)
+
+        scheduler._execute_batch = meet_then_execute
+        results = await asyncio.gather(
+            *(scheduler.submit(request) for request in _two_temperatures())
+        )
+        stats = dict(scheduler.stats)
+        await scheduler.drain()
+        return results, stats
+
+    results, stats = run_async(scenario())
+    assert stats["lanes"] == 2 and stats["jobs"] == 2
+    for request, result in zip(_two_temperatures(), results):
+        assert result["records"] == _direct_records(request)
+
+
+@pytest.mark.parametrize("cpus", [1, None])
+def test_one_cpu_host_keeps_one_lane_in_order(monkeypatch, cpus):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    lock = threading.Lock()
+    running = []
+    entries = []  # the batches running as each one enters
+
+    async def scenario():
+        scheduler = RequestScheduler(batch_window_s=0.01)
+        real_execute = scheduler._execute_batch
+
+        def record_then_execute(batch_key, requests, contexts=None):
+            with lock:
+                running.append(requests[0].temperature_c)
+                entries.append(tuple(running))
+            try:
+                time.sleep(0.05)  # room for a second lane to start, were there one
+                return real_execute(batch_key, requests, contexts)
+            finally:
+                with lock:
+                    running.remove(requests[0].temperature_c)
+
+        scheduler._execute_batch = record_then_execute
+        first, second = _two_temperatures()
+        pending = asyncio.ensure_future(scheduler.submit(first))
+        await asyncio.sleep(0)  # the first bucket flushes first
+        await asyncio.gather(pending, scheduler.submit(second))
+        await scheduler.drain()
+        return scheduler
+
+    scheduler = run_async(scenario())
+    assert scheduler.lanes == scheduler.stats["lanes"] == 1
+    assert entries == [(45.0,), (65.0,)]
+
+
+def test_retry_after_divides_by_the_lanes(monkeypatch):
+    hints = {}
+    for cpus in (1, 4):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        scheduler = RequestScheduler(batch_window_s=0.01)
+        scheduler._queued = 8
+        scheduler._ewma_batch_s = 1.0
+        hints[cpus] = scheduler.retry_after()
+        scheduler._executor.shutdown()
+    assert hints == {1: 8.0, 4: 2.0}
+
+
+def test_healthz_reports_the_lanes(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    thread = ServerThread(ServeConfig(port=0))
+    try:
+        with ServeClient(port=thread.port) as client:
+            assert client.healthz()["stats"]["lanes"] == 3
+    finally:
+        thread.shutdown()
+
+
 def test_draining_scheduler_refuses_new_primaries():
     async def scenario():
         scheduler = RequestScheduler()
@@ -722,6 +819,7 @@ def test_sigterm_drains_in_flight_work_before_exit():
                 port = int(match.group(1))
                 break
         assert port, "server never announced its port"
+        assert f"(lanes={os.cpu_count() or 1}, " in line
 
         outcome = {}
 
