@@ -21,7 +21,7 @@ from repro.physics.profile import DisturbanceProfile
 
 _POPULATIONS_SAMPLED = obs.counter(
     "cells_populations_sampled_total",
-    "Cell populations sampled from scratch (not served by a module pool).",
+    "Cell populations sampled from their key.",
 )
 _RETENTION_BUILDS = obs.counter(
     "cells_retention_array_builds_total",
@@ -33,6 +33,32 @@ _RETENTION_BUILDS = obs.counter(
 #: (worst-case-VRT) leakage multiplier of the analytic retention filter.
 VRT_TRIALS = 50
 _EXPECTED_MAX_Z_50 = 2.25
+
+
+def retention_times(
+    profile: DisturbanceProfile,
+    lambda_int: np.ndarray,
+    kappa: np.ndarray,
+    temperature_c: float,
+    worst: bool = False,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Retention times (seconds) of cells with these parameters, bitline
+    precharged: at nominal leakage, or with ``worst`` at the conservative
+    worst-case VRT of `VRT_TRIALS` trials (the §3.2 exclusion filter).
+
+    Elementwise, so any subset of a population's cells — a row block, the
+    cells a summary needs — gets exactly its whole-array values.  ``out``
+    (float64, the cells' shape) receives the rates and then the times.
+    """
+    if worst:
+        vrt_worst = float(np.exp(profile.vrt_sigma * _EXPECTED_MAX_Z_50))
+        lambda_int = lambda_int * np.float32(vrt_worst)
+    cm_pre = profile.coupling_multiplier(V_PRECHARGE)
+    rates = total_leakage_rates(
+        lambda_int, kappa, cm_pre, profile, float(temperature_c), out=out
+    )
+    return _times_to_flip_in_place(rates)
 
 
 @dataclass
@@ -144,21 +170,9 @@ class CellPopulation:
         key = float(temperature_c)
         if key not in self._retention_cache:
             _RETENTION_BUILDS.inc()
-            cm_pre = self.profile.coupling_multiplier(V_PRECHARGE)
-            nominal_rates = total_leakage_rates(
-                self.lambda_int, self.kappa, cm_pre, self.profile, key
-            )
-            vrt_worst = float(np.exp(self.profile.vrt_sigma * _EXPECTED_MAX_Z_50))
-            worst_rates = total_leakage_rates(
-                self.lambda_int * np.float32(vrt_worst),
-                self.kappa,
-                cm_pre,
-                self.profile,
-                key,
-            )
-            times = (
-                _times_to_flip_in_place(nominal_rates),
-                _times_to_flip_in_place(worst_rates),
+            times = tuple(
+                retention_times(self.profile, self.lambda_int, self.kappa, key, worst)
+                for worst in (False, True)
             )
             for array in times:
                 array.flags.writeable = False

@@ -13,6 +13,7 @@ from repro.core.analytic import (
     SubarrayRole,
     aggressor_column_multipliers,
     disturb_outcome,
+    disturb_summary,
     neighbour_column_multipliers,
     retention_outcome,
     retention_time_arrays,
@@ -89,6 +90,7 @@ __all__ = [
     "UnitExecutionError",
     "aggressor_column_multipliers",
     "disturb_outcome",
+    "disturb_summary",
     "neighbour_column_multipliers",
     "retention_outcome",
     "retention_time_arrays",

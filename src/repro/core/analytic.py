@@ -22,12 +22,13 @@ from enum import Enum
 
 import numpy as np
 
-from repro.chip.cells import CellPopulation
+from repro.chip.cells import CellPopulation, retention_times
 from repro.chip.datapattern import expand_pattern
 from repro.chip.timing import DDR4, TimingParameters
 from repro.core.config import SEARCH_INTERVAL, DisturbConfig
 from repro.physics.constants import V_PRECHARGE
 from repro.physics.coupling import _times_to_flip_in_place, total_leakage_rates
+from repro.physics.profile import row_blocks
 
 #: Default event horizon of `SubarrayOutcome.summarize`: interval metrics can
 #: be answered from a summary for any interval up to its horizon.  128 s is
@@ -219,18 +220,96 @@ def _merged_row_intervals(
     # left-aligned in a rows x (most cells in a row) array padded with -inf,
     # so the max running along a row sees only that row's earlier cells.
     width = int(counts.max())
-    position = np.repeat(np.arange(rows) * width - (np.cumsum(counts) - counts), counts)
-    position += np.arange(position.size)
+    depth = np.arange(row_index.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    position = row_index[order] * width + depth
     padded = np.full((rows, width), -np.inf)
-    padded.flat[position] = ends
+    padded.reshape(-1)[position] = ends
     np.maximum.accumulate(padded, axis=1, out=padded)
     running_end = padded.take(position)
-    # A merged interval begins at a row's first cell (column 0) and wherever
+    # A merged interval begins at a row's first cell (depth 0) and wherever
     # a cell interval starts after every earlier interval of the row ended.
-    new = position % width == 0
+    new = depth == 0
     new[1:] |= starts[1:] > running_end[:-1]
     first = np.flatnonzero(new)
     return starts[first], running_end[np.append(first[1:] - 1, position.size - 1)]
+
+
+@dataclass(frozen=True)
+class _RowEvents:
+    """The summary events of a range of rows (see `_row_events`)."""
+
+    first: float
+    starts: np.ndarray
+    ends: np.ndarray
+    row_starts: np.ndarray
+    row_ends: np.ndarray
+    retention_failures: np.ndarray
+    row_first_retention: np.ndarray
+
+
+def _row_events(
+    rows: int,
+    columns: int,
+    horizon: float,
+    cells: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    nominal: np.ndarray,
+) -> _RowEvents:
+    """Summary events of ``rows`` rows of ``columns`` cells.
+
+    ``cells`` (flat cell indices within the rows), ``starts`` (ColumnDisturb
+    times) and ``ends`` (worst-VRT retention times) list every cell with
+    ``start <= max(horizon, SEARCH_INTERVAL)``; ``nominal`` holds the rows'
+    nominal retention times.
+    """
+    # Every cell with cd <= SEARCH_INTERVAL < retention_worst is eligible;
+    # the earliest such is the rows' first bitflip.
+    first = starts[(starts <= SEARCH_INTERVAL) & (ends > SEARCH_INTERVAL)]
+    # A cell whose retention-worst time precedes its ColumnDisturb time is
+    # filtered out at every interval (§3.2): it is no event.
+    inside = (starts <= horizon) & (starts < ends)
+    cells, starts, ends = cells[inside], starts[inside], ends[inside]
+    order = np.argsort(starts)
+    starts, ends = starts.take(order), ends.take(order)
+    row_starts, row_ends = _merged_row_intervals(
+        cells.take(order) // columns, starts, ends, rows
+    )
+    return _RowEvents(
+        first=float(first.min()) if first.size else float("inf"),
+        starts=starts,
+        ends=ends,
+        row_starts=row_starts,
+        row_ends=row_ends,
+        retention_failures=nominal[nominal <= horizon],
+        row_first_retention=nominal.min(axis=1) if nominal.size else np.empty(0),
+    )
+
+
+def _summary_from_events(
+    rows: int, columns: int, horizon: float, parts: list[_RowEvents]
+) -> OutcomeSummary:
+    """Sort the events of consecutive row ranges into one summary."""
+
+    def joined(name: str) -> np.ndarray:
+        arrays = [getattr(part, name) for part in parts]
+        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+    ends = joined("ends")
+    row_ends = joined("row_ends")
+    row_first_retention = joined("row_first_retention")
+    return OutcomeSummary(
+        rows=rows,
+        cells=rows * columns,
+        horizon=horizon,
+        time_to_first=min(part.first for part in parts),
+        cd_cell_starts=np.sort(joined("starts")),
+        cd_cell_ends=np.sort(ends[ends <= horizon]),
+        cd_row_starts=np.sort(joined("row_starts")),
+        cd_row_ends=np.sort(row_ends[row_ends <= horizon]),
+        ret_cell_times=np.sort(joined("retention_failures")),
+        ret_row_times=np.sort(row_first_retention[row_first_retention <= horizon]),
+    )
 
 
 @dataclass
@@ -276,39 +355,17 @@ class SubarrayOutcome:
         rows, columns = self.cd_times.shape
         starts = self.cd_times.reshape(-1)
         ends = self.retention_worst.reshape(-1)
-        # A cell whose retention-worst time precedes its ColumnDisturb time
-        # is filtered out at every interval; drop it from the event lists.
-        cells = np.flatnonzero((starts <= horizon) & (starts < ends))
-        # One sort of the starts serves both the cell events and the merge.
-        cells = cells[np.argsort(starts.take(cells))]
-        cell_starts = starts.take(cells)
-        cell_ends = ends.take(cells)
-        row_starts, row_ends = _merged_row_intervals(
-            cells // columns, cell_starts, cell_ends, rows
+        cells = np.flatnonzero(starts <= max(horizon, SEARCH_INTERVAL))
+        events = _row_events(
+            rows,
+            columns,
+            horizon,
+            cells,
+            starts.take(cells),
+            ends.take(cells),
+            self.retention_nominal,
         )
-        if horizon >= SEARCH_INTERVAL:
-            # Every cell with cd <= SEARCH_INTERVAL < retention_worst is
-            # eligible, and the starts are ascending: the first such is the
-            # subarray's first bitflip.
-            hits = (cell_starts <= SEARCH_INTERVAL) & (cell_ends > SEARCH_INTERVAL)
-            first = cell_starts[hits]
-            time_to_first = float(first[0]) if first.size else float("inf")
-        else:
-            time_to_first = self.time_to_first_flip()
-        nominal = self.retention_nominal
-        row_first_retention = nominal.min(axis=1) if nominal.size else np.empty(0)
-        return OutcomeSummary(
-            rows=rows,
-            cells=self.cd_times.size,
-            horizon=horizon,
-            time_to_first=time_to_first,
-            cd_cell_starts=cell_starts,
-            cd_cell_ends=np.sort(cell_ends[cell_ends <= horizon]),
-            cd_row_starts=np.sort(row_starts),
-            cd_row_ends=np.sort(row_ends[row_ends <= horizon]),
-            ret_cell_times=np.sort(nominal[nominal <= horizon], axis=None),
-            ret_row_times=np.sort(row_first_retention[row_first_retention <= horizon]),
-        )
+        return _summary_from_events(rows, columns, horizon, [events])
 
     def _cd_flips(self, interval: float) -> np.ndarray:
         """Mask of ColumnDisturb bitflips at ``interval``, after filtering
@@ -377,6 +434,109 @@ class SubarrayOutcome:
         return (self.retention_nominal <= interval).sum(axis=1)
 
 
+@dataclass(frozen=True)
+class _Condition:
+    """What a test condition fixes in one subarray before any cell is
+    evaluated.
+
+    Attributes:
+        victim_bits: per-column victim data bits.
+        multipliers: per-column mean coupling multiplier of the waveform.
+        charged_columns: columns whose (true-cell) victims hold charge.
+        guard: rows excluded around the aggressor (empty off the
+            aggressor subarray).
+    """
+
+    victim_bits: np.ndarray
+    multipliers: np.ndarray
+    charged_columns: np.ndarray
+    guard: range
+
+    def charged(self, population: CellPopulation, rows: slice) -> np.ndarray | None:
+        """Mask of the charged victim cells in ``rows``, broadcastable
+        against them; ``None`` when every cell there is charged.  Discharged
+        cells cannot flip (ColumnDisturb is 1 -> 0 only)."""
+        charged = self.charged_columns[np.newaxis, :]
+        if population.profile.anti_cell_fraction:
+            charged = charged ^ population.anti_mask[rows]
+        return None if charged.all() else charged
+
+    def guard_within(self, rows: slice) -> slice:
+        """The guardband rows inside ``rows``, relative to its start."""
+        lo = max(self.guard.start - rows.start, 0)
+        return slice(lo, max(self.guard.stop - rows.start, lo))
+
+
+def _condition(
+    population: CellPopulation,
+    config: DisturbConfig,
+    timing: TimingParameters,
+    role: SubarrayRole,
+    aggressor_local_row: int | None,
+    guardband: int,
+) -> _Condition:
+    """The per-column waveform, charge and guardband of one condition."""
+    profile = population.profile
+    columns = population.columns
+    t_agg_on = max(config.t_agg_on, timing.t_ras)
+    t_rp = config.t_rp if config.t_rp is not None else timing.t_rp
+    aggressor_bits = expand_pattern(config.aggressor_pattern, columns)
+    second_bits = (
+        expand_pattern(config.second_aggressor_pattern, columns)
+        if config.is_two_aggressor
+        else None
+    )
+    victim_bits = expand_pattern(config.effective_victim_pattern, columns)
+
+    guard = range(0)
+    if role is SubarrayRole.AGGRESSOR:
+        multipliers = aggressor_column_multipliers(
+            profile, aggressor_bits, t_agg_on, t_rp, second_bits=second_bits
+        )
+        if aggressor_local_row is None:
+            raise ValueError("aggressor_local_row required for the aggressor role")
+        lo = max(0, aggressor_local_row - guardband)
+        hi = min(population.rows, aggressor_local_row + guardband + 1)
+        guard = range(lo, max(lo, hi))
+    elif role in (SubarrayRole.UPPER_NEIGHBOUR, SubarrayRole.LOWER_NEIGHBOUR):
+        multipliers = neighbour_column_multipliers(
+            profile, aggressor_bits, t_agg_on, t_rp, role, second_bits=second_bits
+        )
+    else:
+        multipliers = np.full(
+            columns, profile.coupling_multiplier(V_PRECHARGE), dtype=np.float64
+        )
+    return _Condition(victim_bits, multipliers, victim_bits == 1, guard)
+
+
+def _cd_times(
+    population: CellPopulation,
+    condition: _Condition,
+    temperature_c: float,
+    rows: slice,
+    out: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """ColumnDisturb flip times of the cells in ``rows`` (a slice with
+    explicit bounds), ``inf`` at discharged cells and in the guardband,
+    with the rows' charged mask (``None`` when every cell is charged).
+    ``out`` (float64, the rows' shape) receives the rates and the times."""
+    cd_times = _times_to_flip_in_place(
+        total_leakage_rates(
+            population.lambda_int[rows],
+            population.kappa[rows],
+            condition.multipliers,
+            population.profile,
+            temperature_c,
+            out=out,
+        )
+    )
+    charged = condition.charged(population, rows)
+    if charged is not None:
+        np.copyto(cd_times, np.inf, where=~charged)
+    cd_times[condition.guard_within(rows)] = np.inf
+    return cd_times, charged
+
+
 def disturb_outcome(
     population: CellPopulation,
     config: DisturbConfig,
@@ -396,54 +556,18 @@ def disturb_outcome(
             (required when ``role`` is AGGRESSOR; used for the guardband).
         guardband: rows excluded on each side of the aggressor.
     """
-    profile = population.profile
-    columns = population.columns
-    t_agg_on = max(config.t_agg_on, timing.t_ras)
-    t_rp = config.t_rp if config.t_rp is not None else timing.t_rp
-    aggressor_bits = expand_pattern(config.aggressor_pattern, columns)
-    second_bits = (
-        expand_pattern(config.second_aggressor_pattern, columns)
-        if config.is_two_aggressor
-        else None
+    condition = _condition(
+        population, config, timing, role, aggressor_local_row, guardband
     )
-    victim_bits = expand_pattern(config.effective_victim_pattern, columns)
-
-    if role is SubarrayRole.AGGRESSOR:
-        multipliers = aggressor_column_multipliers(
-            profile, aggressor_bits, t_agg_on, t_rp, second_bits=second_bits
-        )
-    elif role in (SubarrayRole.UPPER_NEIGHBOUR, SubarrayRole.LOWER_NEIGHBOUR):
-        multipliers = neighbour_column_multipliers(
-            profile, aggressor_bits, t_agg_on, t_rp, role, second_bits=second_bits
-        )
-    else:
-        multipliers = np.full(
-            columns, profile.coupling_multiplier(V_PRECHARGE), dtype=np.float64
-        )
-
     temperature = config.temperature_c
-    cd_times = _times_to_flip_in_place(
-        total_leakage_rates(
-            population.lambda_int, population.kappa, multipliers, profile, temperature
-        )
+    cd_times, charged = _cd_times(
+        population, condition, temperature, slice(0, population.rows)
     )
-    # Discharged victim cells cannot flip (ColumnDisturb is 1 -> 0 only).
-    charged = (victim_bits == 1)[np.newaxis, :] ^ population.anti_mask
-    all_charged = bool(charged.all())
-    if not all_charged:
-        np.copyto(cd_times, np.inf, where=~charged)
-
     included_rows = np.ones(population.rows, dtype=bool)
-    if role is SubarrayRole.AGGRESSOR:
-        if aggressor_local_row is None:
-            raise ValueError("aggressor_local_row required for the aggressor role")
-        lo = max(0, aggressor_local_row - guardband)
-        hi = min(population.rows, aggressor_local_row + guardband + 1)
-        included_rows[lo:hi] = False
-        cd_times[lo:hi, :] = np.inf
+    included_rows[condition.guard.start : condition.guard.stop] = False
 
     retention_nominal, retention_worst = population.retention_time_arrays(temperature)
-    if not all_charged:
+    if charged is not None:
         # The memoized arrays are shared and read-only: mask copies.
         retention_nominal = np.where(charged, retention_nominal, np.inf)
         retention_worst = np.where(charged, retention_worst, np.inf)
@@ -452,9 +576,93 @@ def disturb_outcome(
         cd_times=cd_times,
         retention_nominal=retention_nominal,
         retention_worst=retention_worst,
-        victim_bits=victim_bits,
+        victim_bits=condition.victim_bits,
         included_rows=included_rows,
     )
+
+
+def _block_events(
+    population: CellPopulation,
+    condition: _Condition,
+    temperature_c: float,
+    horizon: float,
+    rows: slice,
+    buffers: tuple[np.ndarray, np.ndarray],
+) -> _RowEvents:
+    """Summary events of one row block, from its cells' parameters.
+
+    The block's ColumnDisturb and nominal-retention times are written over
+    the leading rows of the two float64 ``buffers``.
+    """
+    count = rows.stop - rows.start
+    cd_times, charged = _cd_times(
+        population, condition, temperature_c, rows, out=buffers[0][:count]
+    )
+    profile = population.profile
+    lambda_int = population.lambda_int[rows]
+    kappa = population.kappa[rows]
+    nominal = retention_times(
+        profile, lambda_int, kappa, temperature_c, out=buffers[1][:count]
+    )
+    if charged is not None:
+        np.copyto(nominal, np.inf, where=~charged)
+    flat = cd_times.reshape(-1)
+    cells = np.flatnonzero(flat <= max(horizon, SEARCH_INTERVAL))
+    ends = retention_times(
+        profile,
+        lambda_int.reshape(-1).take(cells),
+        kappa.reshape(-1).take(cells),
+        temperature_c,
+        worst=True,
+    )
+    return _row_events(
+        len(lambda_int),
+        population.columns,
+        horizon,
+        cells,
+        flat.take(cells),
+        ends,
+        nominal,
+    )
+
+
+def disturb_summary(
+    population: CellPopulation,
+    config: DisturbConfig,
+    timing: TimingParameters,
+    role: SubarrayRole,
+    aggressor_local_row: int | None = None,
+    guardband: int = GUARDBAND_ROWS,
+    horizon: float = DEFAULT_SUMMARY_HORIZON,
+) -> OutcomeSummary:
+    """``disturb_outcome(...).summarize(horizon)``, bit for bit, without
+    the per-cell arrays.
+
+    Walks the population in row blocks of about
+    `repro.physics.profile.BLOCK_CELLS` cells, so each block's leakage
+    rates, flip times and masks stay in cache: the ColumnDisturb and
+    nominal-retention times of every cell, and the worst-VRT retention
+    time only of the cells the summary can need (a ColumnDisturb time
+    within ``max(horizon, SEARCH_INTERVAL)``).  Each value is
+    `disturb_outcome`'s arithmetic on the same cell, and the events meet
+    the same summary tail.  This is the engine's unit of work; callers
+    that read per-cell arrays use `disturb_outcome`.
+    """
+    condition = _condition(
+        population, config, timing, role, aggressor_local_row, guardband
+    )
+    rows, columns = population.shape
+    blocks = row_blocks(rows, columns)
+    # Every block writes over the same two buffers: fresh block arrays can
+    # be handed back to the OS between blocks and faulted in again (250-400
+    # minor page faults per 256 x 512 unit on a two-thread pool, not 5-15).
+    buffers = (np.empty((blocks[0].stop, columns)), np.empty((blocks[0].stop, columns)))
+    temperature = config.temperature_c
+    events = [
+        _block_events(population, condition, temperature, horizon, block, buffers)
+        for block in blocks
+    ]
+    return _summary_from_events(rows, columns, horizon, events)
 
 
 def retention_outcome(

@@ -11,8 +11,10 @@ subarray's silicon from the unit alone and returns a compact
 `OutcomeSummary` of weak-cell event times.
 
 Work units are the only way an analytic characterization reaches a cell
-population: `Campaign` runs this engine, and `repro.core.risk` walks the
-same units through `unit_outcome`.
+population: `Campaign` runs this engine, whose units summarize their
+population in row blocks (`repro.core.analytic.disturb_summary`), and
+`repro.core.risk` walks the same units through `unit_outcome` for the
+per-cell arrays.
 
 Determinism guarantee: the record list is assembled in plan order (serial ->
 chip -> bank -> subarray) and each summary is a pure function of its unit,
@@ -68,6 +70,7 @@ from enum import Enum
 from functools import partial
 
 from repro import obs
+from repro._util.cpus import usable_cpus
 from repro.chip.catalog import get_module
 from repro.chip.cells import CellPopulation
 from repro.chip.geometry import BankGeometry
@@ -80,6 +83,7 @@ from repro.core.analytic import (
     SubarrayOutcome,
     SubarrayRole,
     disturb_outcome,
+    disturb_summary,
 )
 from repro.core.cache import OutcomeCache, outcome_cache_key
 from repro.core.campaign import (
@@ -100,8 +104,8 @@ MAX_BACKOFF_S = 2.0
 
 _SERIAL_FALLBACKS = obs.counter(
     "engine_serial_fallbacks_total",
-    "Campaign passes that skipped the worker pool because the host has no "
-    "parallelism to offer (os.cpu_count() <= 1).",
+    "Campaign passes that skipped the worker pool because the process may "
+    "run on one CPU only.",
 )
 _UNITS_TOTAL = obs.counter(
     "engine_units_total",
@@ -214,6 +218,16 @@ def _unit_timing(spec: ModuleSpec) -> TimingParameters:
     return HBM2 if spec.interface == "HBM2" else DDR4
 
 
+def _unit_population(unit: WorkUnit, spec: ModuleSpec) -> CellPopulation:
+    """The unit's subarray population, re-derived from the unit's key."""
+    return CellPopulation(
+        key=unit.population_key,
+        profile=spec.profile,
+        rows=unit.geometry.subarray_rows(unit.subarray),
+        columns=unit.geometry.columns,
+    )
+
+
 def unit_outcome(
     unit: WorkUnit, guardband: int = GUARDBAND_ROWS
 ) -> tuple[CellPopulation, SubarrayOutcome]:
@@ -221,16 +235,11 @@ def unit_outcome(
 
     The subarray's cell population is re-derived from the unit's key, so
     the outcome is bit-identical to characterizing through a
-    `SimulatedModule`.  Every analytic characterization (`execute_unit`,
-    `repro.core.risk`) reaches its cells through this one function.
+    `SimulatedModule`, and its summary is `execute_unit`'s.  For callers
+    that read per-cell arrays (`repro.core.risk`).
     """
     spec = get_module(unit.serial)
-    population = CellPopulation(
-        key=unit.population_key,
-        profile=spec.profile,
-        rows=unit.geometry.subarray_rows(unit.subarray),
-        columns=unit.geometry.columns,
-    )
+    population = _unit_population(unit, spec)
     outcome = disturb_outcome(
         population,
         unit.config,
@@ -248,10 +257,18 @@ def execute_unit(
     guardband: int = GUARDBAND_ROWS,
 ) -> OutcomeSummary:
     """Characterize one unit from scratch (the worker-side entry point);
-    the compact event summary is returned."""
-    # Hold the population until the summary is built: freeing it first measured slower.
-    population, outcome = unit_outcome(unit, guardband)
-    return outcome.summarize(horizon)
+    the compact event summary is returned, built by `disturb_summary`
+    straight from the population, without the per-cell outcome."""
+    spec = get_module(unit.serial)
+    return disturb_summary(
+        _unit_population(unit, spec),
+        unit.config,
+        timing=_unit_timing(spec),
+        role=SubarrayRole.AGGRESSOR,
+        aggressor_local_row=unit.aggressor_local_row(),
+        guardband=guardband,
+        horizon=horizon,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +440,9 @@ class CharacterizationEngine:
         failure_policy: ``raise`` (default) aborts the campaign on an
             exhausted unit; ``skip-with-record`` completes it with an
             explicit ``status="skipped"`` record in the unit's slot.
-        serial_fallback: when ``True`` (default), a multi-worker request on
-            a host with ``os.cpu_count() <= 1`` runs in-process instead of
+        serial_fallback: when ``True`` (default), a multi-worker request in
+            a process that may run on one CPU only (its affinity mask, see
+            `repro._util.cpus.usable_cpus`) runs in-process instead of
             paying pool overhead for no parallelism (logged, counted, and
             stamped on the ``engine.characterize`` span).  ``False`` forces
             the pool — used by tests that exercise pool mechanics
@@ -607,14 +625,14 @@ class CharacterizationEngine:
         errors: dict[int, str] = {}
         queue = list(pending)
         pooled = self.workers > 1 and len(queue) > 1
-        fallback = pooled and self.serial_fallback and (os.cpu_count() or 1) <= 1
+        fallback = pooled and self.serial_fallback and usable_cpus() <= 1
         if fallback:
             # The CI case behind BENCH_engine.json's parallel_speedup 0.518:
             # a pool on a 1-core host only adds scheduling overhead.
             pooled = False
             detail = (
-                f"workers={self.workers} requested but "
-                f"os.cpu_count()={os.cpu_count()!r} offers no parallelism; "
+                f"workers={self.workers} requested but this process may run "
+                "on one CPU only, which offers no parallelism; "
                 "running in-process to avoid pool overhead"
             )
             _SERIAL_FALLBACKS.inc()

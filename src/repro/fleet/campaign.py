@@ -33,7 +33,12 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.chip.cells import CellPopulation
-from repro.core.analytic import OutcomeSummary, SubarrayRole, disturb_outcome
+from repro.core.analytic import (
+    OutcomeSummary,
+    SubarrayRole,
+    disturb_outcome,  # noqa: F401 (not called here; perfbench's tracer wraps it by name)
+    disturb_summary,
+)
 from repro.core.cache import OutcomeCache
 from repro.fleet.aggregate import CheckpointStore, FleetAggregator
 from repro.fleet.scenario import FleetSpec, ModuleInstance
@@ -70,14 +75,14 @@ def characterize_instance(instance: ModuleInstance, horizon: float):
         rows=instance.rows,
         columns=instance.columns,
     )
-    outcome = disturb_outcome(
+    return disturb_summary(
         population,
         instance.config,
         timing=instance.timing,
         role=SubarrayRole.AGGRESSOR,
         aggressor_local_row=instance.aggressor_local_row,
+        horizon=horizon,
     )
-    return outcome.summarize(horizon)
 
 
 @dataclass

@@ -85,11 +85,14 @@ def total_leakage_rates(
     profile: DisturbanceProfile,
     temperature_c: float,
     vrt: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-cell total leakage rate (1/s) at ``temperature_c``.
 
     ``coupling_multiplier`` may be a scalar (uniform waveform) or an array
-    broadcastable against the cell arrays (per-column waveforms).
+    broadcastable against the cell arrays (per-column waveforms).  ``out``,
+    of the result's shape and dtype, receives the rates instead of a fresh
+    array: a caller walking row blocks reuses one buffer.
     """
     if _obs_state.enabled:
         _LEAKAGE_EVALS.inc(np.size(lambda_int))
@@ -98,7 +101,10 @@ def total_leakage_rates(
     intrinsic = lambda_int * a_int
     if vrt is not None:
         intrinsic = intrinsic * vrt
-    coupling = kappa * (a_cd * np.asarray(coupling_multiplier))
+    factor = a_cd * np.asarray(coupling_multiplier)
+    if out is not None and out.dtype != np.result_type(intrinsic, kappa, factor):
+        raise ValueError("out must have the dtype of the rates")
+    coupling = np.multiply(kappa, factor, out=out)
     if (
         isinstance(coupling, np.ndarray)
         and coupling.dtype == np.result_type(intrinsic, coupling)
@@ -146,11 +152,14 @@ def _times_to_flip_in_place(rates: np.ndarray) -> np.ndarray:
     """`times_to_flip` written over ``rates``, for a caller that owns a
     fresh rates array and has no further use for it."""
     if rates.dtype != np.float64:
-        # `times_to_flip` answers in float64 (NumPy 1.x promotion leaves a
-        # float32 population times a scalar multiplier in float32).
+        # `times_to_flip` answers in float64 (a float32 population times a
+        # float32 multiplier array stays float32).
         return times_to_flip(rates)
     positive = rates > 0
-    with np.errstate(divide="ignore"):
-        np.divide(Q_CRIT, rates, out=rates, where=positive)
-    np.copyto(rates, np.inf, where=np.logical_not(positive, out=positive))
+    # An unmasked division is faster than one under ``where``, and exact
+    # wherever the rate is positive; the rest become inf afterwards.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(Q_CRIT, rates, out=rates)
+    if not positive.all():
+        np.copyto(rates, np.inf, where=np.logical_not(positive, out=positive))
     return rates

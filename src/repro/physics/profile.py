@@ -47,6 +47,18 @@ import numpy as np
 
 from repro.physics.constants import T_REFERENCE_C, V_CELL_CHARGED
 
+#: Cells per row block in which a population is sampled and an engine unit
+#: is summarized: a float64 block (512 KiB) and the few arrays built from
+#: it stay in a core's L2 cache instead of streaming full-size temporaries.
+BLOCK_CELLS = 1 << 16
+
+
+def row_blocks(rows: int, columns: int) -> list[slice]:
+    """Consecutive row slices of about `BLOCK_CELLS` cells, at least one
+    row each, covering ``rows`` rows of ``columns`` cells."""
+    step = max(1, BLOCK_CELLS // max(columns, 1))
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
 
 @dataclass(frozen=True)
 class DisturbanceProfile:
@@ -186,13 +198,44 @@ class DisturbanceProfile:
     # ------------------------------------------------------------------
     # Population sampling
     # ------------------------------------------------------------------
+    def _sample_lognormal(
+        self,
+        rng: np.random.Generator,
+        mu: float,
+        sigma: float,
+        shape: tuple[int, ...],
+        row_factors: np.ndarray | None = None,
+        cap: float = math.inf,
+    ) -> np.ndarray:
+        """``exp(float32(normal(mu, sigma)))`` per cell, times the row's
+        factor and clipped at ``cap``, built one row block at a time.
+
+        Consecutive draws from one generator equal one whole-array draw bit
+        for bit, so each block's float64 draw is rounded, exponentiated,
+        scaled and clipped while it is still in cache, with no full-size
+        float64 temporary.
+        """
+        out = np.empty(shape, dtype=np.float32)
+        if out.size == 0:
+            return out
+        cells = out.reshape(out.shape[0], -1) if out.ndim else out.reshape(1, 1)
+        factors = None if row_factors is None else row_factors.astype(np.float32)
+        for rows in row_blocks(*cells.shape):
+            block = cells[rows]
+            block[...] = rng.normal(mu, sigma, size=block.shape)
+            np.exp(block, out=block)
+            if factors is not None:
+                block *= factors[rows, np.newaxis]
+            if math.isfinite(cap):
+                np.minimum(block, np.float32(cap), out=block)
+        return out
+
     def sample_intrinsic_rates(
         self, rng: np.random.Generator, shape: tuple[int, ...]
     ) -> np.ndarray:
         """Sample per-cell intrinsic leakage rates (1/s at 85C)."""
         mu = -math.log(self.median_retention)
-        rates = rng.normal(mu, self.sigma_retention, size=shape).astype(np.float32)
-        return np.exp(rates, out=rates)
+        return self._sample_lognormal(rng, mu, self.sigma_retention, shape)
 
     def sample_kappas(
         self,
@@ -208,17 +251,12 @@ class DisturbanceProfile:
         Callers apply the per-subarray spatial factor on top
         (see `sample_subarray_scale`).
         """
+        if row_factors is not None and row_factors.shape != (shape[0],):
+            raise ValueError("row_factors must have one entry per row")
         mu = math.log(self.scaled_kappa_median())
-        raw = rng.normal(mu, self.sigma_kappa, size=shape).astype(np.float32)
-        np.exp(raw, out=raw)
-        if row_factors is not None:
-            if row_factors.shape != (shape[0],):
-                raise ValueError("row_factors must have one entry per row")
-            raw *= row_factors.astype(np.float32)[:, np.newaxis]
-        cap = self.scaled_kappa_cap()
-        if math.isfinite(cap):
-            np.minimum(raw, np.float32(cap), out=raw)
-        return raw
+        return self._sample_lognormal(
+            rng, mu, self.sigma_kappa, shape, row_factors, self.scaled_kappa_cap()
+        )
 
     def sample_row_factors(self, rng: np.random.Generator, rows: int) -> np.ndarray:
         """Sample per-row systematic coupling multipliers (median 1.0)."""

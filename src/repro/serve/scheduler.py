@@ -43,26 +43,27 @@ order to every submitted request:
    completed.
 
 Execution happens on submission lanes (``run_in_executor``): one thread
-per CPU (``os.cpu_count()``, worked out once when the scheduler is built),
-so independent cold batches — two temperatures, say — run side by side,
-and a 1-CPU host keeps one lane that runs batches in order.  ``workers``
-is the engine's own thread count per submission, in each lane.  The event
-loop looks units up in the `OutcomeCache` while the lanes write to it;
-the cache's memory lock keeps every side consistent, and a summary only
-ever grows in the memory tier, so two lanes that compute one unit to two
-horizons leave the longer one held.
+per CPU the process may run on (`repro._util.cpus.usable_cpus`, its
+affinity mask, worked out once when the scheduler is built), so
+independent cold batches — two temperatures, say — run side by side, and
+a process confined to one CPU keeps one lane that runs batches in order.
+``workers`` is the engine's own thread count per submission, in each
+lane.  The event loop looks units up in the `OutcomeCache` while the
+lanes write to it; the cache's memory lock keeps every side consistent,
+and a summary only ever grows in the memory tier, so two lanes that
+compute one unit to two horizons leave the longer one held.
 """
 
 from __future__ import annotations
 
 import asyncio
 import math
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro import obs
+from repro._util.cpus import usable_cpus
 from repro.chip.catalog import get_module
 from repro.core.analytic import OutcomeSummary
 from repro.core.cache import OutcomeCache
@@ -131,7 +132,7 @@ class DrainingError(RuntimeError):
 class RequestScheduler:
     """Coalescing micro-batch scheduler over the characterization engine.
 
-    One submission lane per CPU; ``lanes`` holds the count.
+    One submission lane per usable CPU; ``lanes`` holds the count.
 
     Args:
         workers: engine worker threads per submission, in each lane
@@ -156,7 +157,7 @@ class RequestScheduler:
         self.max_queue = max_queue
         self.batch_window_s = batch_window_s
         self.max_batch = max_batch
-        self.lanes = os.cpu_count() or 1
+        self.lanes = usable_cpus()
         self.stats = {
             "lanes": self.lanes,
             "requests": 0,

@@ -1,7 +1,9 @@
-"""Shared fixtures: small, fast geometries, representative modules and
-span capture."""
+"""Shared fixtures: small, fast geometries, representative modules, span
+capture and CPU confinement."""
 
 from __future__ import annotations
+
+import os
 
 import pytest
 
@@ -18,6 +20,19 @@ def spans():
     yield lambda name: [s for s in obs.finished_spans() if s["name"] == name]
     obs.disable()
     obs.reset()
+
+
+@pytest.fixture
+def confine(monkeypatch):
+    """``confine(cpus)`` gives this process an affinity mask of ``cpus``
+    CPUs for one test, as ``taskset`` or a cpuset-limited container would."""
+
+    def apply(cpus: int) -> None:
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+        )
+
+    return apply
 
 
 @pytest.fixture

@@ -72,6 +72,23 @@ def test_vrt_multiplies_intrinsic_only():
     assert jittered[0] == pytest.approx(0.02 + 0.001 * 10.0, rel=1e-5)
 
 
+def test_rates_into_out_equal_fresh_rates():
+    """A reused buffer receives the fresh result's bytes, for a scalar and a
+    per-column multiplier; a buffer of another dtype is refused."""
+    rng = np.random.default_rng(0)
+    lam = rng.random((3, 4), dtype=np.float32)
+    kap = rng.random((3, 4), dtype=np.float32)
+    for multiplier in (10.0, np.linspace(1.0, 4.0, 4)):
+        fresh = total_leakage_rates(lam, kap, multiplier, PROFILE, 85.0)
+        out = np.full((3, 4), np.nan)
+        rates = total_leakage_rates(lam, kap, multiplier, PROFILE, 85.0, out=out)
+        assert rates is out
+        assert rates.dtype == fresh.dtype and rates.tobytes() == fresh.tobytes()
+    narrow = np.empty((3, 4), dtype=np.float32)
+    with pytest.raises(ValueError, match="dtype"):
+        total_leakage_rates(lam, kap, 10.0, PROFILE, 85.0, out=narrow)
+
+
 def test_flip_mask_threshold():
     rates = np.array([1.0, 0.5, 0.1])
     assert flip_mask(rates, 1.0).tolist() == [True, False, False]

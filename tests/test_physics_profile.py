@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro._util.rng import derive_rng
 from repro.physics import DisturbanceProfile
+from repro.physics.profile import BLOCK_CELLS, row_blocks
 
 
 def make_profile(**overrides) -> DisturbanceProfile:
@@ -49,6 +50,74 @@ def test_coupling_multiplier_clamps_above_cell_voltage():
     # A bitline above the cell voltage contributes no discharge channel.
     profile = make_profile()
     assert profile.coupling_multiplier(1.0) == 0.0
+
+
+#: Shapes that are not a multiple of the sampling row block: one cell, one
+#: row, one column, a row wider than a block, and several uneven blocks.
+SHAPES = ((1, 1), (1, 7), (9, 1), (2, BLOCK_CELLS + 3), (257, 513))
+
+
+def assert_same_array(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype == np.float32
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def generator_state(rng: np.random.Generator):
+    """The bit generator's state with its arrays as lists, comparable by ``==``."""
+
+    def plain(value):
+        if isinstance(value, dict):
+            return {key: plain(item) for key, item in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+
+    return plain(rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_intrinsic_rates_equal_one_whole_array_draw(shape):
+    profile = make_profile()
+    blocked = derive_rng("blocked", "lambda", shape)
+    got = profile.sample_intrinsic_rates(blocked, shape)
+    whole = derive_rng("blocked", "lambda", shape)
+    mu = -math.log(profile.median_retention)
+    want = whole.normal(mu, profile.sigma_retention, size=shape).astype(np.float32)
+    np.exp(want, out=want)
+    assert_same_array(got, want)
+    # The generator is left where one whole-array draw leaves it.
+    assert generator_state(blocked) == generator_state(whole)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("row_factors", [False, True])
+@pytest.mark.parametrize("kappa_cap", [0.05, math.inf])
+def test_kappas_equal_one_whole_array_draw(shape, row_factors, kappa_cap):
+    profile = make_profile(kappa_cap=kappa_cap)
+    factors = (
+        profile.sample_row_factors(derive_rng("blocked", "rows", shape), shape[0])
+        if row_factors
+        else None
+    )
+    blocked = derive_rng("blocked", "kappa", shape)
+    got = profile.sample_kappas(blocked, shape, row_factors=factors)
+    whole = derive_rng("blocked", "kappa", shape)
+    mu = math.log(profile.scaled_kappa_median())
+    want = whole.normal(mu, profile.sigma_kappa, size=shape).astype(np.float32)
+    np.exp(want, out=want)
+    if factors is not None:
+        want *= factors.astype(np.float32)[:, np.newaxis]
+    if math.isfinite(profile.scaled_kappa_cap()):
+        np.minimum(want, np.float32(profile.scaled_kappa_cap()), out=want)
+    assert_same_array(got, want)
+    assert generator_state(blocked) == generator_state(whole)
+
+
+def test_row_blocks_cover_the_rows_in_order():
+    for rows, columns in ((1, 1), (9, 1), (1, BLOCK_CELLS + 3), (257, 513)):
+        blocks = row_blocks(rows, columns)
+        assert blocks[0].start == 0 and blocks[-1].stop == rows
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert all(b.stop - b.start <= max(1, BLOCK_CELLS // columns) for b in blocks)
 
 
 def test_kappa_cap_applied_in_sampling():
@@ -127,6 +196,5 @@ def test_coupling_multiplier_monotone_decreasing_in_voltage(voltage):
 def test_temperature_factor_monotone(t1, t2):
     profile = make_profile()
     if t1 <= t2:
-        assert profile.coupling_temperature_factor(
-            t1
-        ) <= profile.coupling_temperature_factor(t2)
+        lower = profile.coupling_temperature_factor(t1)
+        assert lower <= profile.coupling_temperature_factor(t2)

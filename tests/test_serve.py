@@ -25,6 +25,7 @@ import time
 
 import pytest
 
+from repro._util.cpus import usable_cpus
 from repro.core import (
     QUICK_SCALE,
     WORST_CASE,
@@ -196,10 +197,10 @@ def _two_temperatures() -> list[CharacterizeRequest]:
     ]
 
 
-def test_cold_batches_at_two_temperatures_run_side_by_side(monkeypatch):
+def test_cold_batches_at_two_temperatures_run_side_by_side(confine):
     """With two CPUs, two cold batches are inside the lanes at once: each
     waits at a two-party barrier that only the other can release."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    confine(2)
     barrier = threading.Barrier(2, timeout=5)
 
     async def scenario():
@@ -225,8 +226,14 @@ def test_cold_batches_at_two_temperatures_run_side_by_side(monkeypatch):
 
 
 @pytest.mark.parametrize("cpus", [1, None])
-def test_one_cpu_host_keeps_one_lane_in_order(monkeypatch, cpus):
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+def test_one_cpu_host_keeps_one_lane_in_order(monkeypatch, confine, cpus):
+    """One lane on a one-CPU affinity mask, and (``None``) without an
+    affinity call when the CPU count is unknown."""
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+    else:
+        confine(cpus)
     lock = threading.Lock()
     running = []
     entries = []  # the batches running as each one enters
@@ -259,10 +266,10 @@ def test_one_cpu_host_keeps_one_lane_in_order(monkeypatch, cpus):
     assert entries == [(45.0,), (65.0,)]
 
 
-def test_retry_after_divides_by_the_lanes(monkeypatch):
+def test_retry_after_divides_by_the_lanes(confine):
     hints = {}
     for cpus in (1, 4):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        confine(cpus)
         scheduler = RequestScheduler(batch_window_s=0.01)
         scheduler._queued = 8
         scheduler._ewma_batch_s = 1.0
@@ -271,8 +278,8 @@ def test_retry_after_divides_by_the_lanes(monkeypatch):
     assert hints == {1: 8.0, 4: 2.0}
 
 
-def test_healthz_reports_the_lanes(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+def test_healthz_reports_the_lanes(confine):
+    confine(3)
     thread = ServerThread(ServeConfig(port=0))
     try:
         with ServeClient(port=thread.port) as client:
@@ -819,7 +826,7 @@ def test_sigterm_drains_in_flight_work_before_exit():
                 port = int(match.group(1))
                 break
         assert port, "server never announced its port"
-        assert f"(lanes={os.cpu_count() or 1}, " in line
+        assert f"(lanes={usable_cpus()}, " in line
 
         outcome = {}
 

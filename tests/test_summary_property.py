@@ -1,4 +1,4 @@
-"""Property tests: the whole-array summary build equals the lexsort oracle.
+"""Property tests: the summary builds equal the lexsort oracle and each other.
 
 `SubarrayOutcome._build_summary` merges each row's cell intervals with a
 single radix sort and a padded running max.  The oracle below is the
@@ -8,6 +8,11 @@ bitflip.  Every `OutcomeSummary` field must come out equal, dtype
 included, on generated grids built to hit the merge's edge cases (equal
 starts, touching intervals, ``inf`` ends, ``cd == retention_worst``,
 nothing eligible) and on real `disturb_outcome` results.
+
+The engine's unit path, `disturb_summary`, walks the population in row
+blocks and never builds the per-cell outcome; it must equal
+``disturb_outcome(...).summarize(horizon)`` field for field on every
+condition and on shapes that are not a multiple of the block.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.chip.catalog import get_module
+from repro.chip.catalog import CATALOG, get_module
 from repro.chip.cells import CellPopulation
 from repro.chip.timing import DDR4
 from repro.core.analytic import (
@@ -28,8 +33,10 @@ from repro.core.analytic import (
     SubarrayOutcome,
     SubarrayRole,
     disturb_outcome,
+    disturb_summary,
 )
 from repro.core.config import SEARCH_INTERVAL, DisturbConfig
+from repro.physics.profile import BLOCK_CELLS
 
 HORIZONS = (0.064, 0.512, 16.0, 128.0)
 
@@ -114,8 +121,11 @@ def make_outcome(
 
 def assert_same_summary(outcome: SubarrayOutcome, horizon: float) -> None:
     """The fresh summary of ``outcome`` equals the oracle's, field by field."""
-    expected = oracle_summary(outcome, horizon)
-    actual = outcome.summarize(horizon)
+    assert_equal_summaries(outcome.summarize(horizon), oracle_summary(outcome, horizon))
+
+
+def assert_equal_summaries(actual: OutcomeSummary, expected: OutcomeSummary) -> None:
+    """Field by field: type, and for arrays dtype, shape and bytes."""
     for field in dataclasses.fields(OutcomeSummary):
         want = getattr(expected, field.name)
         got = getattr(actual, field.name)
@@ -220,3 +230,80 @@ def test_wide_row_fallback(rows):
     cd[0], worst[0] = (0.1, 0.2), (1.0, 1.0)
     cd[-1], worst[-1] = (0.5, 0.5), (2.0, 4.0)
     assert_same_summary(make_outcome(cd, worst, nominal), 128.0)
+
+
+# ---------------------------------------------------------------------------
+# The engine's unit path: `disturb_summary` against the per-cell outcome
+# ---------------------------------------------------------------------------
+
+#: Shapes that are not a multiple of the row block: one cell, one row, one
+#: column, a row wider than a block, and an odd shape of several blocks.
+UNIT_SHAPES = (
+    (1, 1),
+    (1, 7),
+    (9, 1),
+    (3, 8),
+    (2, BLOCK_CELLS + 3),
+    (3, BLOCK_CELLS + 2),
+    (257, 513),
+    (130, 1024),
+)
+
+ROLES = tuple(SubarrayRole)
+NON_NEIGHBOUR_ROLES = (SubarrayRole.AGGRESSOR, SubarrayRole.IDLE)
+
+
+@st.composite
+def unit_conditions(draw):
+    """(population, condition, role, aggressor row) of one unit."""
+    rows, columns = draw(st.sampled_from(UNIT_SHAPES))
+    profile = get_module(draw(st.sampled_from(sorted(CATALOG)))).profile
+    if draw(st.booleans()):
+        # No catalog die has anti-cells: charge then depends on the cell.
+        profile = dataclasses.replace(profile, anti_cell_fraction=0.25)
+    population = CellPopulation(
+        key=("unit-path", draw(st.integers(0, 2**16))),
+        profile=profile,
+        rows=rows,
+        columns=columns,
+    )
+    aggressor = draw(st.sampled_from((0x00, 0xFF, 0x33)))
+    config = DisturbConfig(
+        aggressor_pattern=aggressor,
+        victim_pattern=draw(st.sampled_from((None, 0xAA, 0x11, 0xFF))),
+        temperature_c=draw(st.sampled_from((45.0, 85.0))),
+        second_aggressor_pattern=draw(st.sampled_from((None, aggressor ^ 0xFF))),
+    )
+    # A neighbour shares every other column, so it needs an even count.
+    role = draw(st.sampled_from(ROLES if columns % 2 == 0 else NON_NEIGHBOUR_ROLES))
+    # The aggressor at the beginning, middle and end: the guardband is
+    # clipped at either edge.
+    row = draw(st.sampled_from((0, rows // 2, rows - 1)))
+    return population, config, role, row
+
+
+@given(unit_conditions(), st.sampled_from(HORIZONS))
+@settings(max_examples=60, deadline=None)
+def test_unit_path_equals_outcome_summary(unit, horizon):
+    population, config, role, row = unit
+    expected = disturb_outcome(population, config, DDR4, role, row).summarize(horizon)
+    actual = disturb_summary(population, config, DDR4, role, row, horizon=horizon)
+    assert_equal_summaries(actual, expected)
+
+
+@pytest.mark.parametrize("shape", UNIT_SHAPES)
+@pytest.mark.parametrize("horizon", HORIZONS)
+def test_unit_path_equals_outcome_summary_on_every_shape(shape, horizon):
+    """Each block-edge shape at each horizon, with a guardband that the
+    aggressor row clips at the top edge."""
+    population = CellPopulation(
+        key=("unit-path-shape",) + shape,
+        profile=get_module("M8").profile,
+        rows=shape[0],
+        columns=shape[1],
+    )
+    config = DisturbConfig(aggressor_pattern=0xAA, victim_pattern=0x11)
+    role = SubarrayRole.AGGRESSOR
+    expected = disturb_outcome(population, config, DDR4, role, 0).summarize(horizon)
+    actual = disturb_summary(population, config, DDR4, role, 0, horizon=horizon)
+    assert_equal_summaries(actual, expected)
