@@ -11,6 +11,12 @@ things the serving layer promises:
 * two concurrent cold requests at two fresh temperatures (two batches,
   which run side by side when the server has a lane per CPU to spare)
   each answer 200 with the records of an in-process ``Campaign`` run;
+  in a single server they are cooler than the 85 C requests before them,
+  so each of their units is answered from its population's weak tail
+  (``engine_weak_tails_total{event="hit"}`` on ``/metrics``);
+* one cold request hotter than any before it (95 C), which draws its
+  populations again and grows their tails, answers 200 with the records
+  of an in-process ``Campaign`` run;
 * two concurrent ``/v1/risk`` requests on a bank whose row count is not a
   power of two (M8, an XOR-mapped module, at 3 x 128 x 256) answer 200
   with identical payloads equal to the in-process ``refresh_window_risk``;
@@ -49,6 +55,7 @@ REQUEST = {"serial": "S0", "subarrays": 2, "rows": 64, "columns": 128,
            "intervals": [0.512, 16.0]}
 CLIENTS = 6
 COLD_TEMPERATURES = (45.0, 65.0)
+HOTTER_TEMPERATURE = 95.0
 RISK_REQUEST = {"serial": "M8", "subarrays": 3, "rows": 128, "columns": 256}
 RISK_CLIENTS = 2
 
@@ -109,6 +116,16 @@ def campaign_records(body: dict) -> list:
         request.serial, request.config, intervals=request.intervals
     )
     return json.loads(json.dumps([record_to_json(record) for record in records]))
+
+
+def tail_hits(client) -> float:
+    """``engine_weak_tails_total{event="hit"}`` on a single server's
+    ``/metrics`` (0 before the first unit)."""
+    match = re.search(
+        r'^engine_weak_tails_total\{event="hit"\} (\S+)$', client.metrics(),
+        re.MULTILINE,
+    )
+    return float(match.group(1)) if match else 0.0
 
 
 def scheduler_counters(client, fleet: bool) -> dict:
@@ -193,6 +210,9 @@ def main(argv: list[str] | None = None) -> int:
         if lanes < 1:
             fail(f"the scheduler reports {lanes} submission lanes")
         colds = [{**REQUEST, "temperature_c": t} for t in COLD_TEMPERATURES]
+        if not args.fleet:
+            with ServeClient(port=port) as client:
+                hits_before = tail_hits(client)
         answers = concurrent_calls(port, [
             lambda client, body=body: client.characterize(body) for body in colds
         ])
@@ -204,6 +224,26 @@ def main(argv: list[str] | None = None) -> int:
         print(f"serve_smoke: {len(colds)} concurrent cold requests at "
               f"{', '.join(f'{t:g}' for t in COLD_TEMPERATURES)} C OK, equal "
               f"to the in-process Campaign ({lanes} lane(s){where})")
+        if not args.fleet:
+            # The fleet shards by a key that includes the temperature, so
+            # its cold batches may land on workers holding no tail.
+            with ServeClient(port=port) as client:
+                hits = tail_hits(client) - hits_before
+            units = len(colds) * REQUEST["subarrays"]
+            if hits != units:
+                fail(f"{hits:g} of the {units} cooler cold units were answered "
+                     "from a weak tail")
+            print(f"serve_smoke: all {units} cooler cold units answered from "
+                  "weak tails")
+
+        hotter = {**REQUEST, "temperature_c": HOTTER_TEMPERATURE}
+        with ServeClient(port=port) as client:
+            answer = client.characterize(hotter)
+        if answer["records"] != campaign_records(hotter):
+            fail(f"cold request at {HOTTER_TEMPERATURE:g} C differs from the "
+                 "in-process Campaign run")
+        print(f"serve_smoke: hotter cold request at {HOTTER_TEMPERATURE:g} C "
+              "OK, equal to the in-process Campaign")
 
         risks = duplicate_calls(
             port, RISK_CLIENTS, lambda client: client.risk(RISK_REQUEST)

@@ -21,7 +21,8 @@ from repro.physics.profile import DisturbanceProfile
 
 _POPULATIONS_SAMPLED = obs.counter(
     "cells_populations_sampled_total",
-    "Cell populations sampled from their key.",
+    "Cell populations sampled from their key; an engine unit answered from "
+    "a weak tail samples none.",
 )
 _RETENTION_BUILDS = obs.counter(
     "cells_retention_array_builds_total",

@@ -11,12 +11,15 @@ from repro.core.analytic import (
     OutcomeSummary,
     SubarrayOutcome,
     SubarrayRole,
+    WeakTail,
     aggressor_column_multipliers,
     disturb_outcome,
     disturb_summary,
+    disturb_summary_and_tail,
     neighbour_column_multipliers,
     retention_outcome,
     retention_time_arrays,
+    tail_summary,
 )
 from repro.core.bisection import BisectionResult, search_minimum_time
 from repro.core.cache import (
@@ -24,6 +27,7 @@ from repro.core.cache import (
     OutcomeCache,
     content_key,
     outcome_cache_key,
+    population_cache_key,
 )
 from repro.core.campaign import (
     QUICK_SCALE,
@@ -76,10 +80,12 @@ __all__ = [
     "OutcomeSummary",
     "SubarrayOutcome",
     "SubarrayRole",
+    "WeakTail",
     "CACHE_FORMAT_VERSION",
     "OutcomeCache",
     "content_key",
     "outcome_cache_key",
+    "population_cache_key",
     "DEFAULT_ENGINE_HORIZON",
     "CharacterizationEngine",
     "WorkUnit",
@@ -91,6 +97,8 @@ __all__ = [
     "aggressor_column_multipliers",
     "disturb_outcome",
     "disturb_summary",
+    "disturb_summary_and_tail",
+    "tail_summary",
     "neighbour_column_multipliers",
     "retention_outcome",
     "retention_time_arrays",

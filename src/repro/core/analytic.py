@@ -17,6 +17,7 @@ the two on small geometries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -26,9 +27,9 @@ from repro.chip.cells import CellPopulation, retention_times
 from repro.chip.datapattern import expand_pattern
 from repro.chip.timing import DDR4, TimingParameters
 from repro.core.config import SEARCH_INTERVAL, DisturbConfig
-from repro.physics.constants import V_PRECHARGE
+from repro.physics.constants import Q_CRIT, V_PRECHARGE
 from repro.physics.coupling import _times_to_flip_in_place, total_leakage_rates
-from repro.physics.profile import row_blocks
+from repro.physics.profile import DisturbanceProfile, row_blocks
 
 #: Default event horizon of `SubarrayOutcome.summarize`: interval metrics can
 #: be answered from a summary for any interval up to its horizon.  128 s is
@@ -37,6 +38,13 @@ DEFAULT_SUMMARY_HORIZON = 128.0
 
 #: RowHammer/RowPress guardband: rows excluded around the aggressor (§3.2).
 GUARDBAND_ROWS = 8
+
+#: Relative margin of a weak tail's cut (`WeakTail`): the bitline-at-GND
+#: multiplier and the reach ``max(horizon, SEARCH_INTERVAL)`` are both
+#: widened by this factor.  It covers the float32 selection pass (a few
+#: 1e-7) and the rounding of every condition's multipliers and temperature
+#: factors (a few 1e-16) many times over, and adds no measurable cells.
+TAIL_MARGIN = 1e-5
 
 
 class SubarrayRole(Enum):
@@ -254,14 +262,17 @@ def _row_events(
     cells: np.ndarray,
     starts: np.ndarray,
     ends: np.ndarray,
-    nominal: np.ndarray,
+    retention_failures: np.ndarray,
+    row_first_retention: np.ndarray,
 ) -> _RowEvents:
     """Summary events of ``rows`` rows of ``columns`` cells.
 
     ``cells`` (flat cell indices within the rows), ``starts`` (ColumnDisturb
     times) and ``ends`` (worst-VRT retention times) list every cell with
-    ``start <= max(horizon, SEARCH_INTERVAL)``; ``nominal`` holds the rows'
-    nominal retention times.
+    ``start <= max(horizon, SEARCH_INTERVAL)``.  ``retention_failures`` holds
+    every nominal retention time within ``horizon``, and
+    ``row_first_retention`` each row's first nominal retention time wherever
+    that is within ``horizon`` (values past it are dropped).
     """
     # Every cell with cd <= SEARCH_INTERVAL < retention_worst is eligible;
     # the earliest such is the rows' first bitflip.
@@ -281,8 +292,8 @@ def _row_events(
         ends=ends,
         row_starts=row_starts,
         row_ends=row_ends,
-        retention_failures=nominal[nominal <= horizon],
-        row_first_retention=nominal.min(axis=1) if nominal.size else np.empty(0),
+        retention_failures=retention_failures,
+        row_first_retention=row_first_retention,
     )
 
 
@@ -356,6 +367,7 @@ class SubarrayOutcome:
         starts = self.cd_times.reshape(-1)
         ends = self.retention_worst.reshape(-1)
         cells = np.flatnonzero(starts <= max(horizon, SEARCH_INTERVAL))
+        nominal = self.retention_nominal
         events = _row_events(
             rows,
             columns,
@@ -363,7 +375,8 @@ class SubarrayOutcome:
             cells,
             starts.take(cells),
             ends.take(cells),
-            self.retention_nominal,
+            nominal[nominal <= horizon],
+            nominal.min(axis=1) if nominal.size else np.empty(0),
         )
         return _summary_from_events(rows, columns, horizon, [events])
 
@@ -435,6 +448,91 @@ class SubarrayOutcome:
 
 
 @dataclass(frozen=True)
+class _Cells:
+    """Cells of one subarray under one test condition, as the flip-time and
+    event arithmetic reads them.
+
+    Attributes:
+        profile: the die profile.
+        rows / columns: shape of the rows the cells lie in.
+        lambda_int / kappa: the cells' parameters: whole rows (a row block),
+            or one value per listed cell (a weak tail).
+        multipliers: each cell's column coupling multiplier, broadcastable
+            against ``kappa``.
+        charged: which cells hold charge, broadcastable against ``kappa``;
+            ``None`` when all of them do.
+        guard: index of the cells in the aggressor's guardband rows.
+        index: each listed cell's flat index within the rows; ``None`` when
+            the arrays hold every cell of the rows.
+    """
+
+    profile: DisturbanceProfile
+    rows: int
+    columns: int
+    lambda_int: np.ndarray
+    kappa: np.ndarray
+    multipliers: np.ndarray
+    charged: np.ndarray | None
+    guard: slice | np.ndarray
+    index: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class WeakTail:
+    """The cells of one population that any test condition up to a
+    temperature and a horizon can need.
+
+    Leakage grows with temperature and with the bitline's coupling
+    multiplier, which is largest with the bitline at GND.  So every cell
+    that is an event, a first flip or a nominal-retention failure of any
+    condition at a temperature ``T' <= temperature_c`` and a horizon
+    ``H' <= horizon`` has a ColumnDisturb time, at ``temperature_c`` with
+    the bitline at GND, within ``max(horizon, SEARCH_INTERVAL)``: the tail
+    keeps those cells (both bounds widened by `TAIL_MARGIN`), and
+    `tail_summary` answers such a condition from them alone, bit for bit.
+    At 85 C and 16 s that is a few percent of a catalog population.
+
+    Attributes:
+        profile: the population's die profile.
+        rows / columns: the population's shape.
+        temperature_c: hottest temperature the tail answers.
+        horizon: longest horizon the tail answers (at least
+            ``SEARCH_INTERVAL`` in effect).
+        index: flat indices of the kept cells, ascending (uint32).
+        lambda_int / kappa: their parameters (float32).
+        anti: their anti-cell bits; ``None`` when the die has no anti-cells.
+    """
+
+    profile: DisturbanceProfile
+    rows: int
+    columns: int
+    temperature_c: float
+    horizon: float
+    index: np.ndarray
+    lambda_int: np.ndarray
+    kappa: np.ndarray
+    anti: np.ndarray | None
+
+    @property
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """The per-cell arrays the tail holds."""
+        held = (self.index, self.lambda_int, self.kappa)
+        return held if self.anti is None else (*held, self.anti)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the per-cell arrays."""
+        return sum(array.nbytes for array in self.arrays)
+
+    def covers(self, temperature_c: float, horizon: float) -> bool:
+        """Whether a condition at ``temperature_c``, summarized up to
+        ``horizon``, can be answered from this tail."""
+        reach = max(self.horizon, SEARCH_INTERVAL)
+        cooler = temperature_c <= self.temperature_c
+        return cooler and max(horizon, SEARCH_INTERVAL) <= reach
+
+
+@dataclass(frozen=True)
 class _Condition:
     """What a test condition fixes in one subarray before any cell is
     evaluated.
@@ -452,23 +550,45 @@ class _Condition:
     charged_columns: np.ndarray
     guard: range
 
-    def charged(self, population: CellPopulation, rows: slice) -> np.ndarray | None:
-        """Mask of the charged victim cells in ``rows``, broadcastable
-        against them; ``None`` when every cell there is charged.  Discharged
-        cells cannot flip (ColumnDisturb is 1 -> 0 only)."""
+    def block(self, population: CellPopulation, rows: slice) -> _Cells:
+        """The cells of ``rows`` (a slice with explicit bounds).
+        Discharged cells cannot flip (ColumnDisturb is 1 -> 0 only)."""
         charged = self.charged_columns[np.newaxis, :]
         if population.profile.anti_cell_fraction:
             charged = charged ^ population.anti_mask[rows]
-        return None if charged.all() else charged
-
-    def guard_within(self, rows: slice) -> slice:
-        """The guardband rows inside ``rows``, relative to its start."""
         lo = max(self.guard.start - rows.start, 0)
-        return slice(lo, max(self.guard.stop - rows.start, lo))
+        return _Cells(
+            population.profile,
+            rows.stop - rows.start,
+            population.columns,
+            population.lambda_int[rows],
+            population.kappa[rows],
+            self.multipliers,
+            None if charged.all() else charged,
+            slice(lo, max(self.guard.stop - rows.start, lo)),
+        )
+
+    def tail(self, tail: WeakTail) -> _Cells:
+        """The cells ``tail`` keeps."""
+        rows, columns = np.divmod(tail.index, tail.columns)
+        charged = self.charged_columns.take(columns)
+        if tail.anti is not None:
+            charged ^= tail.anti
+        return _Cells(
+            tail.profile,
+            tail.rows,
+            tail.columns,
+            tail.lambda_int,
+            tail.kappa,
+            self.multipliers.take(columns),
+            None if charged.all() else charged,
+            (rows >= self.guard.start) & (rows < self.guard.stop),
+            tail.index,
+        )
 
 
 def _condition(
-    population: CellPopulation,
+    population: CellPopulation | WeakTail,
     config: DisturbConfig,
     timing: TimingParameters,
     role: SubarrayRole,
@@ -510,31 +630,25 @@ def _condition(
 
 
 def _cd_times(
-    population: CellPopulation,
-    condition: _Condition,
-    temperature_c: float,
-    rows: slice,
-    out: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """ColumnDisturb flip times of the cells in ``rows`` (a slice with
-    explicit bounds), ``inf`` at discharged cells and in the guardband,
-    with the rows' charged mask (``None`` when every cell is charged).
-    ``out`` (float64, the rows' shape) receives the rates and the times."""
+    cells: _Cells, temperature_c: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """ColumnDisturb flip times of ``cells``, ``inf`` at discharged cells
+    and in the guardband.  ``out`` (float64, the cells' shape) receives the
+    rates and the times."""
     cd_times = _times_to_flip_in_place(
         total_leakage_rates(
-            population.lambda_int[rows],
-            population.kappa[rows],
-            condition.multipliers,
-            population.profile,
+            cells.lambda_int,
+            cells.kappa,
+            cells.multipliers,
+            cells.profile,
             temperature_c,
             out=out,
         )
     )
-    charged = condition.charged(population, rows)
-    if charged is not None:
-        np.copyto(cd_times, np.inf, where=~charged)
-    cd_times[condition.guard_within(rows)] = np.inf
-    return cd_times, charged
+    if cells.charged is not None:
+        np.copyto(cd_times, np.inf, where=~cells.charged)
+    cd_times[cells.guard] = np.inf
+    return cd_times
 
 
 def disturb_outcome(
@@ -560,17 +674,16 @@ def disturb_outcome(
         population, config, timing, role, aggressor_local_row, guardband
     )
     temperature = config.temperature_c
-    cd_times, charged = _cd_times(
-        population, condition, temperature, slice(0, population.rows)
-    )
+    cells = condition.block(population, slice(0, population.rows))
+    cd_times = _cd_times(cells, temperature)
     included_rows = np.ones(population.rows, dtype=bool)
     included_rows[condition.guard.start : condition.guard.stop] = False
 
     retention_nominal, retention_worst = population.retention_time_arrays(temperature)
-    if charged is not None:
+    if cells.charged is not None:
         # The memoized arrays are shared and read-only: mask copies.
-        retention_nominal = np.where(charged, retention_nominal, np.inf)
-        retention_worst = np.where(charged, retention_worst, np.inf)
+        retention_nominal = np.where(cells.charged, retention_nominal, np.inf)
+        retention_worst = np.where(cells.charged, retention_worst, np.inf)
 
     return SubarrayOutcome(
         cd_times=cd_times,
@@ -581,49 +694,138 @@ def disturb_outcome(
     )
 
 
-def _block_events(
+def _cell_events(
+    cells: _Cells,
+    temperature_c: float,
+    horizon: float,
+    buffers: tuple[np.ndarray, np.ndarray] | None = None,
+) -> _RowEvents:
+    """Summary events of ``cells``, from their parameters.
+
+    ``cells`` are every cell of their rows (a row block), or a list of them
+    that holds every cell with a ColumnDisturb time within
+    ``max(horizon, SEARCH_INTERVAL)`` or a nominal retention time within
+    ``horizon`` (a covering weak tail).  A row block's ColumnDisturb and
+    nominal-retention times are written over the leading rows of the two
+    float64 ``buffers``.
+    """
+    profile = cells.profile
+    count = len(cells.lambda_int)
+    out = (None, None) if buffers is None else (buffers[0][:count], buffers[1][:count])
+    cd_times = _cd_times(cells, temperature_c, out=out[0])
+    nominal = retention_times(
+        profile, cells.lambda_int, cells.kappa, temperature_c, out=out[1]
+    )
+    if cells.charged is not None:
+        np.copyto(nominal, np.inf, where=~cells.charged)
+    flat = cd_times.reshape(-1)
+    picked = np.flatnonzero(flat <= max(horizon, SEARCH_INTERVAL))
+    ends = retention_times(
+        profile,
+        cells.lambda_int.reshape(-1).take(picked),
+        cells.kappa.reshape(-1).take(picked),
+        temperature_c,
+        worst=True,
+    )
+    failing = nominal <= horizon
+    failures = nominal[failing]
+    starts = flat.take(picked)
+    if cells.index is None:
+        row_first = nominal.min(axis=1)
+    else:
+        # A row's first failure within the horizon is a listed cell.
+        row_first = np.full(cells.rows, np.inf)
+        rows = (cells.index[failing] // cells.columns).astype(np.intp)
+        np.minimum.at(row_first, rows, failures)
+        picked = cells.index.take(picked).astype(np.intp)
+    return _row_events(
+        cells.rows, cells.columns, horizon, picked, starts, ends, failures, row_first
+    )
+
+
+class _TailCut:
+    """Selects a population's weak tail at a temperature and a horizon,
+    one row block at a time (see `WeakTail`)."""
+
+    def __init__(
+        self, population: CellPopulation, temperature_c: float, horizon: float
+    ) -> None:
+        profile = population.profile
+        widen = 1.0 + TAIL_MARGIN
+        self.population = population
+        self.temperature_c = temperature_c
+        self.horizon = horizon
+        # A kept cell's float32 rate with the bitline at GND reaches the
+        # rate that flips it within the reach.  In float32 the pass takes
+        # half a float64 `total_leakage_rates` pass (114 against 237 us a
+        # 64 Ki-cell block); `TAIL_MARGIN` covers its rounding.
+        self.intrinsic = np.float32(profile.retention_temperature_factor(temperature_c))
+        self.coupling = np.float32(
+            profile.coupling_temperature_factor(temperature_c)
+            * profile.coupling_multiplier(0.0)
+            * widen
+        )
+        self.floor = np.float32(Q_CRIT / (max(horizon, SEARCH_INTERVAL) * widen))
+        self.picked: list[np.ndarray] = []
+
+    def select(self, rows: slice, buffers: tuple[np.ndarray, np.ndarray]) -> None:
+        """Keep the tail cells of ``rows``; the float32 rates go over the
+        float64 ``buffers``, which the block's events no longer need."""
+        population = self.population
+        lambda_int = population.lambda_int[rows].reshape(-1)
+        kappa = population.kappa[rows].reshape(-1)
+        count = lambda_int.size
+        rates = buffers[0].reshape(-1).view(np.float32)[:count]
+        coupling = buffers[1].reshape(-1).view(np.float32)[:count]
+        np.multiply(lambda_int, self.intrinsic, out=rates)
+        np.multiply(kappa, self.coupling, out=coupling)
+        rates += coupling
+        picked = np.flatnonzero(rates >= self.floor)
+        self.picked.append(picked + rows.start * population.columns)
+
+    def tail(self) -> WeakTail:
+        """The tail of the blocks selected so far."""
+        population = self.population
+        picked = np.concatenate(self.picked)
+        anti = None
+        if population.profile.anti_cell_fraction:
+            anti = population.anti_mask.reshape(-1).take(picked)
+        return WeakTail(
+            profile=population.profile,
+            rows=population.rows,
+            columns=population.columns,
+            temperature_c=self.temperature_c,
+            horizon=self.horizon,
+            index=picked.astype(np.uint32),
+            lambda_int=population.lambda_int.reshape(-1).take(picked),
+            kappa=population.kappa.reshape(-1).take(picked),
+            anti=anti,
+        )
+
+
+def _walk(
     population: CellPopulation,
     condition: _Condition,
     temperature_c: float,
     horizon: float,
-    rows: slice,
-    buffers: tuple[np.ndarray, np.ndarray],
-) -> _RowEvents:
-    """Summary events of one row block, from its cells' parameters.
-
-    The block's ColumnDisturb and nominal-retention times are written over
-    the leading rows of the two float64 ``buffers``.
-    """
-    count = rows.stop - rows.start
-    cd_times, charged = _cd_times(
-        population, condition, temperature_c, rows, out=buffers[0][:count]
-    )
-    profile = population.profile
-    lambda_int = population.lambda_int[rows]
-    kappa = population.kappa[rows]
-    nominal = retention_times(
-        profile, lambda_int, kappa, temperature_c, out=buffers[1][:count]
-    )
-    if charged is not None:
-        np.copyto(nominal, np.inf, where=~charged)
-    flat = cd_times.reshape(-1)
-    cells = np.flatnonzero(flat <= max(horizon, SEARCH_INTERVAL))
-    ends = retention_times(
-        profile,
-        lambda_int.reshape(-1).take(cells),
-        kappa.reshape(-1).take(cells),
-        temperature_c,
-        worst=True,
-    )
-    return _row_events(
-        len(lambda_int),
-        population.columns,
-        horizon,
-        cells,
-        flat.take(cells),
-        ends,
-        nominal,
-    )
+    cut: _TailCut | None = None,
+) -> OutcomeSummary:
+    """The summary of ``population``, walked in row blocks of about
+    `repro.physics.profile.BLOCK_CELLS` cells; ``cut`` selects its weak
+    tail on the way."""
+    rows, columns = population.shape
+    blocks = row_blocks(rows, columns)
+    # Every block writes over the same two buffers: fresh block arrays can
+    # be handed back to the OS between blocks and faulted in again (250-400
+    # minor page faults per 256 x 512 unit on a two-thread pool, not 5-15).
+    buffers = (np.empty((blocks[0].stop, columns)), np.empty((blocks[0].stop, columns)))
+    events = []
+    for block in blocks:
+        cells = condition.block(population, block)
+        events.append(_cell_events(cells, temperature_c, horizon, buffers))
+        if cut is not None:
+            cut.select(block, buffers)
+    return _summary_from_events(rows, columns, horizon, events)
 
 
 def disturb_summary(
@@ -651,18 +853,65 @@ def disturb_summary(
     condition = _condition(
         population, config, timing, role, aggressor_local_row, guardband
     )
-    rows, columns = population.shape
-    blocks = row_blocks(rows, columns)
-    # Every block writes over the same two buffers: fresh block arrays can
-    # be handed back to the OS between blocks and faulted in again (250-400
-    # minor page faults per 256 x 512 unit on a two-thread pool, not 5-15).
-    buffers = (np.empty((blocks[0].stop, columns)), np.empty((blocks[0].stop, columns)))
-    temperature = config.temperature_c
-    events = [
-        _block_events(population, condition, temperature, horizon, block, buffers)
-        for block in blocks
-    ]
-    return _summary_from_events(rows, columns, horizon, events)
+    return _walk(population, condition, config.temperature_c, horizon)
+
+
+def disturb_summary_and_tail(
+    population: CellPopulation,
+    config: DisturbConfig,
+    timing: TimingParameters,
+    role: SubarrayRole,
+    aggressor_local_row: int | None = None,
+    guardband: int = GUARDBAND_ROWS,
+    horizon: float = DEFAULT_SUMMARY_HORIZON,
+    *,
+    tail_temperature_c: float,
+    tail_horizon: float,
+) -> tuple[OutcomeSummary, WeakTail | None]:
+    """`disturb_summary`, and the population's `WeakTail` at
+    ``tail_temperature_c`` and ``tail_horizon``, cut in the same row-block
+    walk from float32 rates.
+
+    The tail is ``None`` when the die's leakage does not grow with
+    temperature (a per-10 C factor below 1), which the tail relies on, or
+    when its temperature or horizon is not finite.
+    """
+    condition = _condition(
+        population, config, timing, role, aggressor_local_row, guardband
+    )
+    profile = population.profile
+    growing = min(profile.retention_factor_per_10c, profile.coupling_factor_per_10c) >= 1
+    cut = None
+    if growing and math.isfinite(tail_temperature_c + tail_horizon):
+        cut = _TailCut(population, tail_temperature_c, tail_horizon)
+    summary = _walk(population, condition, config.temperature_c, horizon, cut)
+    return summary, None if cut is None else cut.tail()
+
+
+def tail_summary(
+    tail: WeakTail,
+    config: DisturbConfig,
+    timing: TimingParameters,
+    role: SubarrayRole,
+    aggressor_local_row: int | None = None,
+    guardband: int = GUARDBAND_ROWS,
+    horizon: float = DEFAULT_SUMMARY_HORIZON,
+) -> OutcomeSummary:
+    """`disturb_summary` of the tail's population, bit for bit, from the
+    cells the tail keeps: the same per-cell arithmetic on a few percent of
+    the cells, with no population drawn.
+
+    Raises ``ValueError`` unless the tail covers the condition's
+    temperature and ``horizon`` (`WeakTail.covers`).
+    """
+    if not tail.covers(config.temperature_c, horizon):
+        raise ValueError(
+            f"a tail at {tail.temperature_c} C and {tail.horizon} s cannot "
+            f"answer {config.temperature_c} C and {horizon} s"
+        )
+    condition = _condition(tail, config, timing, role, aggressor_local_row, guardband)
+    events = _cell_events(condition.tail(tail), config.temperature_c, horizon)
+    return _summary_from_events(tail.rows, tail.columns, horizon, [events])
 
 
 def retention_outcome(

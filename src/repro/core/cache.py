@@ -16,6 +16,13 @@ Two tiers:
   user-chosen directory, so repeated campaign runs skip recomputation
   entirely.
 
+Beside its summaries the memory tier holds one `WeakTail` per cell
+population the engine has drawn (`tail` / `put_tail`, keyed by
+`population_cache_key`): the few cells any cooler or shorter condition on
+that population can need, so the engine answers such a unit without
+drawing the population again.  Tails never reach the disk, never pass
+through `lookup`, and only grow.
+
 A disk entry is one `repro._util.durable` record whose payload is a fixed
 little-endian header (magic, ``rows``, ``cells``, ``horizon``,
 ``time_to_first`` and the six array lengths) and the six arrays as ``<f8``
@@ -44,7 +51,7 @@ import numpy as np
 
 from repro import obs
 from repro._util import durable
-from repro.core.analytic import OutcomeSummary, SubarrayRole
+from repro.core.analytic import OutcomeSummary, SubarrayRole, WeakTail
 from repro.obs import state as _obs_state
 from repro.core.config import DisturbConfig
 from repro.physics.profile import DisturbanceProfile
@@ -88,8 +95,8 @@ _ENTRIES_MEMORY = _ENTRIES.labels(tier="memory")
 _ENTRIES_DISK = _ENTRIES.labels(tier="disk")
 _MEMORY_BYTES = obs.gauge(
     "cache_memory_bytes",
-    "Summary array bytes held by the memory tier of the most recently "
-    "active outcome cache.",
+    "Summary and weak-tail array bytes held by the memory tier of the most "
+    "recently active outcome cache.",
 )
 
 #: Bump when the summary layout or the outcome semantics change: old disk
@@ -161,15 +168,27 @@ def outcome_cache_key(
     ))
 
 
+def population_cache_key(
+    population_key: tuple, rows: int, columns: int, profile: DisturbanceProfile
+) -> str:
+    """Stable content hash of one cell population: the key of its
+    `WeakTail`."""
+    return content_key(
+        ("population", tuple(population_key), rows, columns, _field_values(profile))
+    )
+
+
 class OutcomeCache:
-    """Two-tier (memory + optional disk) store of `OutcomeSummary` values.
+    """Two-tier (memory + optional disk) store of `OutcomeSummary` values,
+    with the populations' weak tails in the memory tier.
 
     Args:
         directory: optional on-disk tier; created if missing.  ``None``
             keeps the cache purely in-memory.
-        max_memory_entries: optional LRU bound on the memory tier; the
-            least recently used entry is evicted past this size (the disk
-            tier, when configured, still holds every entry).
+        max_memory_entries: optional LRU bound on the memory tier's
+            summaries; the least recently used one is evicted past this
+            size (the disk tier, when configured, still holds every entry).
+            Weak tails are not evicted.
     """
 
     def __init__(
@@ -178,9 +197,11 @@ class OutcomeCache:
         max_memory_entries: int | None = None,
     ) -> None:
         self._memory: OrderedDict[str, OutcomeSummary] = OrderedDict()
+        self._tails: dict[str, WeakTail] = {}
         # Fleet pool threads share one cache, and the serve event loop
-        # reads it while the submission lanes write: the memory tier, its
-        # byte total and the tier counters change only under this lock.
+        # reads it while the submission lanes write: the memory tier (its
+        # summaries and tails), its byte total and the tier counters change
+        # only under this lock.
         self._memory_lock = threading.Lock()
         self.memory_bytes = 0
         self.max_memory_entries = max_memory_entries
@@ -267,20 +288,66 @@ class OutcomeCache:
 
         Entries only grow: when the memory tier already holds a summary of
         ``key`` with a longer horizon (another thread computed the same
-        unit further out), that one is kept and nothing is written.
+        unit further out), that one is kept and nothing is written.  Two
+        puts of one key write the disk outside the memory lock, so the
+        shorter summary can land last: after each write, while memory
+        holds a longer summary of the key than the one written, that one
+        is written too.
         """
         if not self._remember(key, summary):
             return
         _PUTS.inc()
         if self.directory is not None:
-            self._save(key, summary)
+            while True:
+                self._save(key, summary)
+                with self._memory_lock:
+                    held = self._memory.get(key)
+                if held is None or held.horizon <= summary.horizon:
+                    break
+                summary = held
         self._update_gauges()
+
+    def tail(self, key: str) -> WeakTail | None:
+        """The weak tail held for the population ``key``
+        (`population_cache_key`), or ``None``.  A probe: no counter moves."""
+        with self._memory_lock:
+            return self._tails.get(key)
+
+    def put_tail(self, key: str, tail: WeakTail) -> bool:
+        """Hold ``tail`` for the population ``key`` in the memory tier.
+
+        Tails only grow: a held tail is replaced only by one that covers
+        it (`WeakTail.covers`) and that it does not cover.  A tail that
+        would hold more bytes than the population's own λ and κ arrays
+        (above 2/3 of its cells) is not kept.  Its arrays become read-only.
+        Returns whether the tail is now held.
+        """
+        population_bytes = (
+            (tail.lambda_int.itemsize + tail.kappa.itemsize) * tail.rows * tail.columns
+        )
+        if tail.nbytes > population_bytes:
+            return False
+        for array in tail.arrays:
+            array.flags.writeable = False
+        with self._memory_lock:
+            held = self._tails.get(key)
+            if held is not None:
+                if held.covers(tail.temperature_c, tail.horizon) or not tail.covers(
+                    held.temperature_c, held.horizon
+                ):
+                    return False
+                self.memory_bytes -= held.nbytes
+            self._tails[key] = tail
+            self.memory_bytes += tail.nbytes
+        self._update_gauges()
+        return True
 
     @property
     def stats(self) -> dict[str, int]:
         """Mutually consistent counters: ``hits + misses == lookups``;
         ``disk_hits`` is the subset of ``hits`` answered from disk;
-        ``memory_bytes`` is the summary array bytes the memory tier holds."""
+        ``memory_bytes`` is the summary and weak-tail array bytes the
+        memory tier holds; ``entries`` counts summaries only."""
         with self._memory_lock:
             return {
                 "entries": len(self._memory),

@@ -53,6 +53,14 @@ asking for a longer interval than a cached summary covers misses, computes
 the unit once and replaces the entry with the longer summary: entries only
 grow, one recompute per growth step.  With ``cache=OutcomeCache(path)``
 the summaries also persist across runs (disk tier).
+
+Weak tails: with a cache, a unit that draws its population also cuts the
+population's `WeakTail` and puts it in the cache's memory tier, grown to
+the hottest temperature and longest horizon the population has been asked
+for.  A later unit on the same population whose condition is no hotter and
+no longer (another temperature of a sweep, another pattern) is answered
+from that tail, bit for bit, without drawing the population again.  An
+engine without a cache draws every unit.
 """
 
 from __future__ import annotations
@@ -84,8 +92,10 @@ from repro.core.analytic import (
     SubarrayRole,
     disturb_outcome,
     disturb_summary,
+    disturb_summary_and_tail,
+    tail_summary,
 )
-from repro.core.cache import OutcomeCache, outcome_cache_key
+from repro.core.cache import OutcomeCache, outcome_cache_key, population_cache_key
 from repro.core.campaign import (
     STANDARD_SCALE,
     CampaignScale,
@@ -119,6 +129,20 @@ _UNIT_SECONDS = obs.histogram(
 _UNIT_RETRIES = obs.counter(
     "engine_unit_retries_total",
     "Execution attempts beyond each unit's first, across all units.",
+)
+_WEAK_TAILS = obs.counter(
+    "engine_weak_tails_total",
+    "Computed units that used a population's weak tail: answered from a "
+    "held tail without drawing (hit), or drew and cut a tail (build).",
+    labelnames=("event",),
+)
+_WEAK_TAIL_HIT = _WEAK_TAILS.labels(event="hit")
+_WEAK_TAIL_BUILD = _WEAK_TAILS.labels(event="build")
+
+#: Whether the last `execute_unit` in this context answered from a weak
+#: tail: `_worker_run` reads it back for the unit's ``engine.unit`` span.
+_FROM_TAIL: contextvars.ContextVar[bool] = contextvars.ContextVar(
+    "repro_engine_from_tail", default=False
 )
 
 _log = logging.getLogger("repro.core.engine")
@@ -255,20 +279,55 @@ def execute_unit(
     unit: WorkUnit,
     horizon: float = DEFAULT_ENGINE_HORIZON,
     guardband: int = GUARDBAND_ROWS,
+    cache: OutcomeCache | None = None,
 ) -> OutcomeSummary:
-    """Characterize one unit from scratch (the worker-side entry point);
-    the compact event summary is returned, built by `disturb_summary`
-    straight from the population, without the per-cell outcome."""
+    """Characterize one unit (the worker-side entry point); the compact
+    event summary is returned, built by `disturb_summary` straight from the
+    population, without the per-cell outcome.
+
+    With ``cache``, a unit whose temperature and horizon the weak tail held
+    for its population covers is answered from that tail (`tail_summary`)
+    and draws nothing; otherwise the unit draws its population and puts a
+    tail grown to the hotter temperature and longer horizon of the two.
+    The summary is the same bit for bit either way.
+    """
     spec = get_module(unit.serial)
-    return disturb_summary(
-        _unit_population(unit, spec),
-        unit.config,
+    summary_args = dict(
         timing=_unit_timing(spec),
         role=SubarrayRole.AGGRESSOR,
         aggressor_local_row=unit.aggressor_local_row(),
         guardband=guardband,
         horizon=horizon,
     )
+    _FROM_TAIL.set(False)
+    if cache is None:
+        return disturb_summary(_unit_population(unit, spec), unit.config, **summary_args)
+    key = population_cache_key(
+        unit.population_key,
+        unit.geometry.subarray_rows(unit.subarray),
+        unit.geometry.columns,
+        spec.profile,
+    )
+    temperature = unit.config.temperature_c
+    tail = cache.tail(key)
+    if tail is not None and tail.covers(temperature, horizon):
+        _WEAK_TAIL_HIT.inc()
+        _FROM_TAIL.set(True)
+        return tail_summary(tail, unit.config, **summary_args)
+    reach = (temperature, horizon)
+    if tail is not None:
+        reach = (max(temperature, tail.temperature_c), max(horizon, tail.horizon))
+    summary, grown = disturb_summary_and_tail(
+        _unit_population(unit, spec),
+        unit.config,
+        **summary_args,
+        tail_temperature_c=reach[0],
+        tail_horizon=reach[1],
+    )
+    if grown is not None:
+        _WEAK_TAIL_BUILD.inc()
+        cache.put_tail(key, grown)
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +380,14 @@ def _maybe_inject_fault(unit: WorkUnit) -> None:
 
 
 def _worker_run(
-    unit: WorkUnit, horizon: float, guardband: int
-) -> tuple[OutcomeSummary, float, float]:
+    unit: WorkUnit, horizon: float, guardband: int, cache: OutcomeCache | None
+) -> tuple[OutcomeSummary, float, float, bool]:
     """Execute one attempt of one unit; returns ``(summary, start_unix,
-    wall_s)``."""
+    wall_s, from_tail)``."""
     _maybe_inject_fault(unit)
     start_unix, start = time.time(), time.perf_counter()
-    summary = execute_unit(unit, horizon=horizon, guardband=guardband)
-    return summary, start_unix, time.perf_counter() - start
+    summary = execute_unit(unit, horizon=horizon, guardband=guardband, cache=cache)
+    return summary, start_unix, time.perf_counter() - start, _FROM_TAIL.get()
 
 
 def _submit(pool: ThreadPoolExecutor, compute, unit: WorkUnit) -> Future:
@@ -352,6 +411,7 @@ class _ExecResult:
     summary: OutcomeSummary | None
     start_unix: float
     wall: float
+    from_tail: bool
     attempts: int
     executor: str | None = None
     error: str | None = None
@@ -565,20 +625,24 @@ class CharacterizationEngine:
         attempts: int = 0,
         error: str | None = None,
         executor: str | None = None,
+        tail: bool | None = None,
     ) -> None:
         """Record one resolved unit: its ``engine.unit`` span and the
-        engine unit metrics, from the same values."""
+        engine unit metrics, from the same values.  ``tail`` (whether a
+        computed unit was answered from a weak tail) is set only by an
+        engine with a cache, which alone holds tails."""
         if not _obs_state.enabled:
             return
         _UNITS_TOTAL.labels(source=source).inc()
         _UNIT_SECONDS.observe(wall)
         if attempts > 1:
             _UNIT_RETRIES.inc(attempts - 1)
+        extra = {} if tail is None else {"tail": tail}
         obs.record_span(
             "engine.unit", start_unix, wall,
             index=index, serial=unit.serial, chip=unit.chip, bank=unit.bank,
             subarray=unit.subarray, source=source, attempts=attempts,
-            executor=executor, error=error,
+            executor=executor, error=error, **extra,
         )
 
     def _summaries(
@@ -606,11 +670,13 @@ class CharacterizationEngine:
                 summaries[i] = result.summary
                 if self.cache is not None:
                     self.cache.put(keys[i], result.summary)
+            computed = result.summary is not None
             self._trace_unit(
                 i, units[i],
-                "computed" if result.summary is not None else "skipped",
+                "computed" if computed else "skipped",
                 result.start_unix, result.wall, result.attempts, result.error,
                 result.executor,
+                result.from_tail if computed and self.cache is not None else None,
             )
         return summaries
 
@@ -619,7 +685,9 @@ class CharacterizationEngine:
     ) -> dict[int, _ExecResult]:
         """Execute ``pending`` unit indices with retries, timeout, and the
         failure policy; returns results keyed by index."""
-        compute = partial(_worker_run, horizon=horizon, guardband=self.guardband)
+        compute = partial(
+            _worker_run, horizon=horizon, guardband=self.guardband, cache=self.cache
+        )
         results: dict[int, _ExecResult] = {}
         attempts = {i: 0 for i in pending}
         errors: dict[int, str] = {}
@@ -725,7 +793,7 @@ class CharacterizationEngine:
         if self.failure_policy is FailurePolicy.RAISE:
             raise UnitExecutionError(unit, attempts[index], errors.get(index))
         results[index] = _ExecResult(
-            None, time.time(), 0.0, attempts[index], error=errors.get(index)
+            None, time.time(), 0.0, False, attempts[index], error=errors.get(index)
         )
 
     def _backoff(self, failures: int) -> None:

@@ -1,14 +1,30 @@
 """Shared fixtures: small, fast geometries, representative modules, span
-capture and CPU confinement."""
+capture and CPU confinement; and the NumPy build in the report header."""
 
 from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
+from numpy._core import _multiarray_umath
 
 from repro import obs
 from repro.chip import BankGeometry, SimulatedModule, get_module
+
+
+def pytest_report_header(config):
+    """The NumPy version and SIMD kernels the run uses: the golden digests
+    hash raw float bytes, and NumPy picks its ``exp``/``log``/``expm1``
+    kernels at run time, so a golden failure in a CI log names its
+    bit-identity domain."""
+    features = _multiarray_umath.__cpu_features__
+    found = [name for name in _multiarray_umath.__cpu_dispatch__ if features.get(name)]
+    baseline = " ".join(_multiarray_umath.__cpu_baseline__) or "none"
+    return (
+        f"numpy {np.__version__}: SIMD baseline {baseline}; "
+        f"dispatched {' '.join(found) or 'none'}"
+    )
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -309,6 +310,45 @@ def test_cache_concurrent_puts_keep_the_longest_horizon():
     assert not any(thread.is_alive() for thread in threads)
     assert [cache.get(key).horizon for key in keys] == [5.0] * 4
     assert cache.stats["memory_bytes"] == 4 * by_horizon[-1].nbytes
+
+
+def test_cache_short_disk_write_landing_last_is_rewritten(tmp_path):
+    """Two puts of one key write the disk outside the memory lock.  Held at
+    a barrier, the shorter put's write lands after the longer one's; the
+    longer summary the memory tier holds is then written again, so a fresh
+    handle reads the longer entry and does not recompute."""
+    empty = np.empty(0)
+    short, long = (
+        OutcomeSummary(1, 1, h, 0.0, np.zeros(int(h)), empty, empty, empty, empty, empty)
+        for h in (1.0, 5.0)
+    )
+    cache = OutcomeCache(tmp_path)
+    save = cache._save
+    barrier = threading.Barrier(2, timeout=10)
+    long_written = threading.Event()
+
+    def held_save(key, summary):
+        if summary is short:
+            barrier.wait()  # the longer put has replaced it in memory
+            assert long_written.wait(10)
+        elif not long_written.is_set():
+            barrier.wait()
+        save(key, summary)
+        if summary is long:
+            long_written.set()
+
+    cache._save = held_save
+    first = threading.Thread(target=cache.put, args=("key", short))
+    first.start()
+    while barrier.n_waiting < 1 and first.is_alive():
+        time.sleep(0.001)
+    second = threading.Thread(target=cache.put, args=("key", long))
+    second.start()
+    first.join(timeout=30)
+    second.join(timeout=30)
+    assert not first.is_alive() and not second.is_alive()
+    assert cache.get("key").horizon == 5.0
+    assert OutcomeCache(tmp_path).get("key").horizon == 5.0
 
 
 # ---------------------------------------------------------------------------
