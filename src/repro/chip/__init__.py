@@ -12,7 +12,7 @@ from repro.chip.catalog import (
     modules_by_manufacturer,
     total_chip_count,
 )
-from repro.chip.cells import CellPopulation
+from repro.chip.cells import CellPopulation, PopulationStack
 from repro.chip.datapattern import (
     ALL_ONES,
     ALL_ZEROS,
@@ -67,6 +67,7 @@ __all__ = [
     "modules_by_manufacturer",
     "total_chip_count",
     "CellPopulation",
+    "PopulationStack",
     "ALL_ONES",
     "ALL_ZEROS",
     "PAPER_PATTERNS",

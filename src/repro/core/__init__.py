@@ -14,6 +14,7 @@ from repro.core.analytic import (
     WeakTail,
     aggressor_column_multipliers,
     disturb_outcome,
+    disturb_summaries,
     disturb_summary,
     disturb_summary_and_tail,
     neighbour_column_multipliers,
@@ -96,6 +97,7 @@ __all__ = [
     "UnitExecutionError",
     "aggressor_column_multipliers",
     "disturb_outcome",
+    "disturb_summaries",
     "disturb_summary",
     "disturb_summary_and_tail",
     "tail_summary",

@@ -18,18 +18,19 @@ the two on small geometries.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from repro.chip.cells import CellPopulation, retention_times
+from repro.chip.cells import CellPopulation, Leakage, PopulationStack, retention_times
 from repro.chip.datapattern import expand_pattern
 from repro.chip.timing import DDR4, TimingParameters
 from repro.core.config import SEARCH_INTERVAL, DisturbConfig
 from repro.physics.constants import Q_CRIT, V_PRECHARGE
-from repro.physics.coupling import _times_to_flip_in_place, total_leakage_rates
-from repro.physics.profile import DisturbanceProfile, row_blocks
+from repro.physics.coupling import _times_to_flip_in_place, leakage_rates
+from repro.physics.profile import DisturbanceProfile, stack_blocks
 
 #: Default event horizon of `SubarrayOutcome.summarize`: interval metrics can
 #: be answered from a summary for any interval up to its horizon.  128 s is
@@ -100,9 +101,10 @@ def neighbour_column_multipliers(
     cm_pre = profile.coupling_multiplier(V_PRECHARGE)
     multipliers = np.full(columns, cm_pre, dtype=np.float64)
     if role is SubarrayRole.UPPER_NEIGHBOUR:
-        # Neighbour's ODD columns mirror aggressor's EVEN columns.
-        source = aggressor_bits[0::2]
-        second_source = None if second_bits is None else second_bits[0::2]
+        # Neighbour's ODD columns mirror aggressor's EVEN columns; the last
+        # even column of an odd count has no odd partner.
+        source = aggressor_bits[0 : columns - 1 : 2]
+        second_source = None if second_bits is None else second_bits[0 : columns - 1 : 2]
         target = slice(1, None, 2)
     elif role is SubarrayRole.LOWER_NEIGHBOUR:
         # Neighbour's EVEN columns mirror aggressor's ODD columns.
@@ -449,31 +451,35 @@ class SubarrayOutcome:
 
 @dataclass(frozen=True)
 class _Cells:
-    """Cells of one subarray under one test condition, as the flip-time and
-    event arithmetic reads them.
+    """Cells of a stack of equal-shaped subarrays, each under its own test
+    condition, as the flip-time and event arithmetic reads them.
+
+    Every array has one leading entry per subarray: the cells of a row
+    block are ``(subarrays, rows, columns)``, the cells a weak tail lists
+    ``(1, 1, listed)``.
 
     Attributes:
-        profile: the die profile.
-        rows / columns: shape of the rows the cells lie in.
-        lambda_int / kappa: the cells' parameters: whole rows (a row block),
-            or one value per listed cell (a weak tail).
-        multipliers: each cell's column coupling multiplier, broadcastable
-            against ``kappa``.
+        rows / columns: shape of each subarray's rows the cells lie in.
+        lambda_int / kappa: the cells' parameters.
+        leakage: each die's `Leakage` at its condition's temperature.
+        coupling: each cell's column coupling multiplier times the coupling
+            temperature factor (float64), broadcastable against ``kappa``.
         charged: which cells hold charge, broadcastable against ``kappa``;
             ``None`` when all of them do.
-        guard: index of the cells in the aggressor's guardband rows.
+        guard: per subarray, the index of its cells in the aggressor's
+            guardband rows.
         index: each listed cell's flat index within the rows; ``None`` when
             the arrays hold every cell of the rows.
     """
 
-    profile: DisturbanceProfile
     rows: int
     columns: int
     lambda_int: np.ndarray
     kappa: np.ndarray
-    multipliers: np.ndarray
+    leakage: Leakage
+    coupling: np.ndarray
     charged: np.ndarray | None
-    guard: slice | np.ndarray
+    guard: tuple[slice | np.ndarray, ...]
     index: np.ndarray | None = None
 
 
@@ -550,54 +556,112 @@ class _Condition:
     charged_columns: np.ndarray
     guard: range
 
-    def block(self, population: CellPopulation, rows: slice) -> _Cells:
-        """The cells of ``rows`` (a slice with explicit bounds).
-        Discharged cells cannot flip (ColumnDisturb is 1 -> 0 only)."""
-        charged = self.charged_columns[np.newaxis, :]
-        if population.profile.anti_cell_fraction:
-            charged = charged ^ population.anti_mask[rows]
-        lo = max(self.guard.start - rows.start, 0)
-        return _Cells(
-            population.profile,
-            rows.stop - rows.start,
-            population.columns,
-            population.lambda_int[rows],
-            population.kappa[rows],
-            self.multipliers,
-            None if charged.all() else charged,
-            slice(lo, max(self.guard.stop - rows.start, lo)),
-        )
-
-    def tail(self, tail: WeakTail) -> _Cells:
-        """The cells ``tail`` keeps."""
+    def tail(self, tail: WeakTail, leakage: Leakage) -> _Cells:
+        """The cells ``tail`` keeps, their die's factors ``leakage``."""
         rows, columns = np.divmod(tail.index, tail.columns)
         charged = self.charged_columns.take(columns)
         if tail.anti is not None:
             charged ^= tail.anti
+        listed = (1, 1, -1)
+        guard = (rows >= self.guard.start) & (rows < self.guard.stop)
         return _Cells(
-            tail.profile,
             tail.rows,
             tail.columns,
-            tail.lambda_int,
-            tail.kappa,
-            self.multipliers.take(columns),
-            None if charged.all() else charged,
-            (rows >= self.guard.start) & (rows < self.guard.stop),
+            tail.lambda_int.reshape(listed),
+            tail.kappa.reshape(listed),
+            leakage,
+            leakage.coupling * self.multipliers.take(columns),
+            None if charged.all() else charged.reshape(listed),
+            (guard.reshape(1, -1),),
             tail.index,
         )
 
 
+@dataclass(frozen=True)
+class _Stack:
+    """Equal-shaped populations drawn as one `PopulationStack`, each under
+    its own test condition.
+
+    Attributes:
+        cells: the populations' stacked parameters.
+        conditions: each population's condition.
+        leakage: each die's `Leakage` at its condition's temperature.
+        coupling: each population's column multipliers times its coupling
+            temperature factor, ``(populations, 1, columns)`` float64.
+        charged: each population's charged columns, ``(populations, 1,
+            columns)``.
+    """
+
+    cells: PopulationStack
+    conditions: tuple[_Condition, ...]
+    leakage: Leakage
+    coupling: np.ndarray
+    charged: np.ndarray
+
+    def block(self, subarrays: slice, rows: slice) -> _Cells:
+        """The cells of ``rows`` of ``subarrays`` (slices with explicit
+        bounds).  Discharged cells cannot flip (ColumnDisturb is 1 -> 0
+        only)."""
+        charged = self.charged[subarrays]
+        anti = self.cells.anti_masks
+        if anti is not None:
+            charged = charged ^ anti[subarrays, rows]
+        guard = []
+        for condition in self.conditions[subarrays]:
+            lo = max(condition.guard.start - rows.start, 0)
+            guard.append(slice(lo, max(condition.guard.stop - rows.start, lo)))
+        return _Cells(
+            rows.stop - rows.start,
+            self.cells.columns,
+            self.cells.lambda_int[subarrays, rows],
+            self.cells.kappa[subarrays, rows],
+            self.leakage[subarrays],
+            self.coupling[subarrays],
+            None if charged.all() else charged,
+            tuple(guard),
+        )
+
+
+def _stack(
+    cells: PopulationStack,
+    configs: Sequence[DisturbConfig],
+    timings: Sequence[TimingParameters],
+    role: SubarrayRole,
+    aggressor_local_rows: Sequence[int | None],
+    guardband: int,
+) -> _Stack:
+    """Each population of ``cells`` under its own condition."""
+    shape = (cells.rows, cells.columns)
+    conditions = tuple(
+        _condition(profile, *shape, config, timing, role, row, guardband)
+        for profile, config, timing, row in zip(
+            cells.profiles, configs, timings, aggressor_local_rows, strict=True
+        )
+    )
+    leakage = Leakage.at(cells.profiles, [config.temperature_c for config in configs])
+    multipliers = np.array([condition.multipliers for condition in conditions])
+    charged = np.array([condition.charged_columns for condition in conditions])
+    return _Stack(
+        cells,
+        conditions,
+        leakage,
+        leakage.coupling * multipliers[:, np.newaxis],
+        charged[:, np.newaxis],
+    )
+
+
 def _condition(
-    population: CellPopulation | WeakTail,
+    profile: DisturbanceProfile,
+    rows: int,
+    columns: int,
     config: DisturbConfig,
     timing: TimingParameters,
     role: SubarrayRole,
     aggressor_local_row: int | None,
     guardband: int,
 ) -> _Condition:
-    """The per-column waveform, charge and guardband of one condition."""
-    profile = population.profile
-    columns = population.columns
+    """The per-column waveform, charge and guardband of one condition on a
+    subarray of ``rows`` x ``columns`` cells."""
     t_agg_on = max(config.t_agg_on, timing.t_ras)
     t_rp = config.t_rp if config.t_rp is not None else timing.t_rp
     aggressor_bits = expand_pattern(config.aggressor_pattern, columns)
@@ -616,7 +680,7 @@ def _condition(
         if aggressor_local_row is None:
             raise ValueError("aggressor_local_row required for the aggressor role")
         lo = max(0, aggressor_local_row - guardband)
-        hi = min(population.rows, aggressor_local_row + guardband + 1)
+        hi = min(rows, aggressor_local_row + guardband + 1)
         guard = range(lo, max(lo, hi))
     elif role in (SubarrayRole.UPPER_NEIGHBOUR, SubarrayRole.LOWER_NEIGHBOUR):
         multipliers = neighbour_column_multipliers(
@@ -629,25 +693,23 @@ def _condition(
     return _Condition(victim_bits, multipliers, victim_bits == 1, guard)
 
 
-def _cd_times(
-    cells: _Cells, temperature_c: float, out: np.ndarray | None = None
-) -> np.ndarray:
+def _cd_times(cells: _Cells, out: np.ndarray | None = None) -> np.ndarray:
     """ColumnDisturb flip times of ``cells``, ``inf`` at discharged cells
     and in the guardband.  ``out`` (float64, the cells' shape) receives the
     rates and the times."""
     cd_times = _times_to_flip_in_place(
-        total_leakage_rates(
+        leakage_rates(
             cells.lambda_int,
             cells.kappa,
-            cells.multipliers,
-            cells.profile,
-            temperature_c,
+            cells.leakage.intrinsic,
+            cells.coupling,
             out=out,
         )
     )
     if cells.charged is not None:
         np.copyto(cd_times, np.inf, where=~cells.charged)
-    cd_times[cells.guard] = np.inf
+    for subarray, guard in zip(cd_times, cells.guard):
+        subarray[guard] = np.inf
     return cd_times
 
 
@@ -670,20 +732,22 @@ def disturb_outcome(
             (required when ``role`` is AGGRESSOR; used for the guardband).
         guardband: rows excluded on each side of the aggressor.
     """
-    condition = _condition(
-        population, config, timing, role, aggressor_local_row, guardband
+    stack = _stack(
+        population.stack, [config], [timing], role, [aggressor_local_row], guardband
     )
-    temperature = config.temperature_c
-    cells = condition.block(population, slice(0, population.rows))
-    cd_times = _cd_times(cells, temperature)
+    (condition,) = stack.conditions
+    cells = stack.block(slice(0, 1), slice(0, population.rows))
+    cd_times = _cd_times(cells)[0]
     included_rows = np.ones(population.rows, dtype=bool)
     included_rows[condition.guard.start : condition.guard.stop] = False
 
+    temperature = config.temperature_c
     retention_nominal, retention_worst = population.retention_time_arrays(temperature)
     if cells.charged is not None:
         # The memoized arrays are shared and read-only: mask copies.
-        retention_nominal = np.where(cells.charged, retention_nominal, np.inf)
-        retention_worst = np.where(cells.charged, retention_worst, np.inf)
+        charged = cells.charged[0]
+        retention_nominal = np.where(charged, retention_nominal, np.inf)
+        retention_worst = np.where(charged, retention_worst, np.inf)
 
     return SubarrayOutcome(
         cd_times=cd_times,
@@ -694,53 +758,71 @@ def disturb_outcome(
     )
 
 
-def _cell_events(
+def _block_events(
     cells: _Cells,
-    temperature_c: float,
     horizon: float,
     buffers: tuple[np.ndarray, np.ndarray] | None = None,
-) -> _RowEvents:
-    """Summary events of ``cells``, from their parameters.
+) -> list[_RowEvents]:
+    """Summary events of each subarray of ``cells``, from their parameters.
 
-    ``cells`` are every cell of their rows (a row block), or a list of them
-    that holds every cell with a ColumnDisturb time within
-    ``max(horizon, SEARCH_INTERVAL)`` or a nominal retention time within
-    ``horizon`` (a covering weak tail).  A row block's ColumnDisturb and
-    nominal-retention times are written over the leading rows of the two
-    float64 ``buffers``.
+    ``cells`` are every cell of their rows (a row block of one or more
+    subarrays), or a list of one subarray's cells that holds every cell
+    with a ColumnDisturb time within ``max(horizon, SEARCH_INTERVAL)`` or a
+    nominal retention time within ``horizon`` (a covering weak tail).  A
+    row block's ColumnDisturb and nominal-retention times are written over
+    the leading cells of the two flat float64 ``buffers``.  Each step is
+    one pass over the whole stack; only the events are cut per subarray.
     """
-    profile = cells.profile
-    count = len(cells.lambda_int)
-    out = (None, None) if buffers is None else (buffers[0][:count], buffers[1][:count])
-    cd_times = _cd_times(cells, temperature_c, out=out[0])
-    nominal = retention_times(
-        profile, cells.lambda_int, cells.kappa, temperature_c, out=out[1]
-    )
+    shape = cells.lambda_int.shape
+    out = (None, None)
+    if buffers is not None:
+        out = tuple(buffer[: cells.lambda_int.size].reshape(shape) for buffer in buffers)
+    cd_times = _cd_times(cells, out=out[0])
+    nominal = retention_times(cells.lambda_int, cells.kappa, cells.leakage, out=out[1])
     if cells.charged is not None:
         np.copyto(nominal, np.inf, where=~cells.charged)
     flat = cd_times.reshape(-1)
     picked = np.flatnonzero(flat <= max(horizon, SEARCH_INTERVAL))
-    ends = retention_times(
-        profile,
-        cells.lambda_int.reshape(-1).take(picked),
-        cells.kappa.reshape(-1).take(picked),
-        temperature_c,
-        worst=True,
-    )
     failing = nominal <= horizon
     failures = nominal[failing]
+    # Where each subarray's picked cells and failures begin and end (the
+    # picked cells ascend, and the failures come in cell order), and each
+    # picked cell's die factors: one die's broadcast as scalars.
+    subarrays, size = shape[0], flat.size // shape[0]
+    bounds, failing_bounds = [0, picked.size], [0, failures.size]
+    leakage = cells.leakage[0, 0, 0]
+    if subarrays > 1:
+        bounds = np.searchsorted(picked, np.arange(subarrays + 1) * size).tolist()
+        counts = [np.count_nonzero(own) for own in failing]
+        failing_bounds[1:] = np.cumsum(counts).tolist()
+        leakage = cells.leakage.repeat(np.diff(bounds))
+    ends = retention_times(
+        cells.lambda_int.reshape(-1).take(picked),
+        cells.kappa.reshape(-1).take(picked),
+        leakage,
+        worst=True,
+    )
     starts = flat.take(picked)
-    if cells.index is None:
-        row_first = nominal.min(axis=1)
-    else:
+    if cells.index is not None:
         # A row's first failure within the horizon is a listed cell.
         row_first = np.full(cells.rows, np.inf)
-        rows = (cells.index[failing] // cells.columns).astype(np.intp)
+        rows = (cells.index[failing.reshape(-1)] // cells.columns).astype(np.intp)
         np.minimum.at(row_first, rows, failures)
         picked = cells.index.take(picked).astype(np.intp)
-    return _row_events(
-        cells.rows, cells.columns, horizon, picked, starts, ends, failures, row_first
-    )
+        parts = [(picked, starts, ends, failures, row_first)]
+    else:
+        row_first = nominal.min(axis=2)
+        parts = [
+            (
+                picked[lo:hi] - index * size if index else picked[lo:hi],
+                starts[lo:hi],
+                ends[lo:hi],
+                failures[failing_bounds[index] : failing_bounds[index + 1]],
+                row_first[index],
+            )
+            for index, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+        ]
+    return [_row_events(cells.rows, cells.columns, horizon, *part) for part in parts]
 
 
 class _TailCut:
@@ -804,28 +886,28 @@ class _TailCut:
 
 
 def _walk(
-    population: CellPopulation,
-    condition: _Condition,
-    temperature_c: float,
-    horizon: float,
-    cut: _TailCut | None = None,
-) -> OutcomeSummary:
-    """The summary of ``population``, walked in row blocks of about
-    `repro.physics.profile.BLOCK_CELLS` cells; ``cut`` selects its weak
-    tail on the way."""
-    rows, columns = population.shape
-    blocks = row_blocks(rows, columns)
+    stack: _Stack, horizon: float, cut: _TailCut | None = None
+) -> list[OutcomeSummary]:
+    """The summary of each population of ``stack``, walked in blocks of
+    about `repro.physics.profile.BLOCK_CELLS` cells (`stack_blocks`: whole
+    populations together, or row blocks of one); ``cut`` selects the weak
+    tail of a stack of one on the way."""
+    count, rows, columns = stack.cells.lambda_int.shape
+    blocks = stack_blocks(count, rows, columns)
     # Every block writes over the same two buffers: fresh block arrays can
     # be handed back to the OS between blocks and faulted in again (250-400
     # minor page faults per 256 x 512 unit on a two-thread pool, not 5-15).
-    buffers = (np.empty((blocks[0].stop, columns)), np.empty((blocks[0].stop, columns)))
-    events = []
-    for block in blocks:
-        cells = condition.block(population, block)
-        events.append(_cell_events(cells, temperature_c, horizon, buffers))
+    # The first block is the largest.
+    size = stack.cells.lambda_int[blocks[0]].size
+    buffers = (np.empty(size), np.empty(size))
+    events: list[list[_RowEvents]] = [[] for _ in range(count)]
+    for subarrays, block_rows in blocks:
+        parts = _block_events(stack.block(subarrays, block_rows), horizon, buffers)
+        for index, part in zip(range(subarrays.start, subarrays.stop), parts):
+            events[index].append(part)
         if cut is not None:
-            cut.select(block, buffers)
-    return _summary_from_events(rows, columns, horizon, events)
+            cut.select(block_rows, buffers)
+    return [_summary_from_events(rows, columns, horizon, parts) for parts in events]
 
 
 def disturb_summary(
@@ -848,12 +930,43 @@ def disturb_summary(
     within ``max(horizon, SEARCH_INTERVAL)``).  Each value is
     `disturb_outcome`'s arithmetic on the same cell, and the events meet
     the same summary tail.  This is the engine's unit of work; callers
-    that read per-cell arrays use `disturb_outcome`.
+    that read per-cell arrays use `disturb_outcome`.  It is
+    `disturb_summaries` of the population's stack of one.
     """
-    condition = _condition(
-        population, config, timing, role, aggressor_local_row, guardband
+    (summary,) = disturb_summaries(
+        population.stack,
+        [config],
+        [timing],
+        role,
+        [aggressor_local_row],
+        guardband,
+        horizon,
     )
-    return _walk(population, condition, config.temperature_c, horizon)
+    return summary
+
+
+def disturb_summaries(
+    cells: PopulationStack,
+    configs: Sequence[DisturbConfig],
+    timings: Sequence[TimingParameters],
+    role: SubarrayRole,
+    aggressor_local_rows: Sequence[int | None],
+    guardband: int = GUARDBAND_ROWS,
+    horizon: float = DEFAULT_SUMMARY_HORIZON,
+) -> list[OutcomeSummary]:
+    """`disturb_summary` of each population of a stack, under its own
+    condition (``configs``, ``timings`` and ``aggressor_local_rows`` hold
+    one entry per population), bit for bit.
+
+    Populations that fit in one block together are evaluated as one: the
+    flip-time, nominal-retention and worst-VRT passes each run once over
+    the stacked cells, with each die's factors and each condition's column
+    multipliers broadcast along the stack, and only the events are cut per
+    population.  Small populations thus cost a few large NumPy calls
+    instead of many short ones.
+    """
+    stack = _stack(cells, configs, timings, role, aggressor_local_rows, guardband)
+    return _walk(stack, horizon)
 
 
 def disturb_summary_and_tail(
@@ -876,15 +989,15 @@ def disturb_summary_and_tail(
     temperature (a per-10 C factor below 1), which the tail relies on, or
     when its temperature or horizon is not finite.
     """
-    condition = _condition(
-        population, config, timing, role, aggressor_local_row, guardband
+    stack = _stack(
+        population.stack, [config], [timing], role, [aggressor_local_row], guardband
     )
     profile = population.profile
     growing = min(profile.retention_factor_per_10c, profile.coupling_factor_per_10c) >= 1
     cut = None
     if growing and math.isfinite(tail_temperature_c + tail_horizon):
         cut = _TailCut(population, tail_temperature_c, tail_horizon)
-    summary = _walk(population, condition, config.temperature_c, horizon, cut)
+    (summary,) = _walk(stack, horizon, cut)
     return summary, None if cut is None else cut.tail()
 
 
@@ -909,9 +1022,19 @@ def tail_summary(
             f"a tail at {tail.temperature_c} C and {tail.horizon} s cannot "
             f"answer {config.temperature_c} C and {horizon} s"
         )
-    condition = _condition(tail, config, timing, role, aggressor_local_row, guardband)
-    events = _cell_events(condition.tail(tail), config.temperature_c, horizon)
-    return _summary_from_events(tail.rows, tail.columns, horizon, [events])
+    condition = _condition(
+        tail.profile,
+        tail.rows,
+        tail.columns,
+        config,
+        timing,
+        role,
+        aggressor_local_row,
+        guardband,
+    )
+    leakage = Leakage.at((tail.profile,), (config.temperature_c,))
+    events = _block_events(condition.tail(tail, leakage), horizon)
+    return _summary_from_events(tail.rows, tail.columns, horizon, events)
 
 
 def retention_outcome(

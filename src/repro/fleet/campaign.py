@@ -8,8 +8,16 @@ the per-interval flip rates into a `FleetAggregator`, and periodically
 persists aggregator state + resume cursor through a `CheckpointStore`.
 
 Each chunk's cache lookups run on the calling thread and only the misses
-go to the thread pool: a hit is a short, GIL-bound read, so handing it to
-a pool thread costs more than answering it.
+go to the thread pool, in groups: a hit is a short, GIL-bound read, so
+handing it to a pool thread costs more than answering it.  A group holds
+the misses that fill one `repro.physics.profile.BLOCK_CELLS` block (four
+at the default 64 x 256, one from 64 Ki cells up), never spans a chunk,
+and a chunk splits into at least ``min(workers, misses)`` groups.  One
+group is drawn into one stacked pair of arrays and evaluated in one pass
+(`characterize_instances`), so a pool thread spends its time in a few
+large NumPy calls, most of which release the GIL, instead of handing the
+GIL back and forth over many short ones.  Cache keys and entries,
+checkpoints and the aggregation order stay per instance.
 
 Interrupt semantics (the CLI contract): a `KeyboardInterrupt` during
 the campaign cancels outstanding work without waiting for the thread
@@ -28,20 +36,25 @@ from __future__ import annotations
 
 import threading
 import time
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro import obs
-from repro.chip.cells import CellPopulation
+from repro.chip.cells import (
+    CellPopulation,  # noqa: F401 (not called here; perfbench's tracer wraps it by name)
+    PopulationStack,
+)
 from repro.core.analytic import (
     OutcomeSummary,
     SubarrayRole,
     disturb_outcome,  # noqa: F401 (not called here; perfbench's tracer wraps it by name)
-    disturb_summary,
+    disturb_summaries,
 )
 from repro.core.cache import OutcomeCache
 from repro.fleet.aggregate import CheckpointStore, FleetAggregator
 from repro.fleet.scenario import FleetSpec, ModuleInstance
+from repro.physics.profile import stack_size
 
 #: Checkpoint payload layout version (see `CheckpointStore`).
 CHECKPOINT_FORMAT = 1
@@ -66,23 +79,43 @@ _CHECKPOINTS = obs.counter(
 )
 
 
-def characterize_instance(instance: ModuleInstance, horizon: float):
-    """Characterize one sampled instance analytically; returns the
-    `OutcomeSummary` of its aggressor subarray."""
-    population = CellPopulation(
-        key=instance.population_key,
-        profile=instance.profile,
-        rows=instance.rows,
-        columns=instance.columns,
+def characterize_instances(
+    instances: Sequence[ModuleInstance], horizon: float
+) -> list[OutcomeSummary]:
+    """Characterize sampled instances of one geometry analytically, drawn
+    and evaluated as one stack (`PopulationStack`, `disturb_summaries`);
+    returns each one's aggressor-subarray `OutcomeSummary`, bit for bit
+    what it gives alone."""
+    first = instances[0]
+    cells = PopulationStack(
+        tuple(instance.population_key for instance in instances),
+        tuple(instance.profile for instance in instances),
+        first.rows,
+        first.columns,
     )
-    return disturb_summary(
-        population,
-        instance.config,
-        timing=instance.timing,
-        role=SubarrayRole.AGGRESSOR,
-        aggressor_local_row=instance.aggressor_local_row,
+    return disturb_summaries(
+        cells,
+        [instance.config for instance in instances],
+        [instance.timing for instance in instances],
+        SubarrayRole.AGGRESSOR,
+        [instance.aggressor_local_row for instance in instances],
         horizon=horizon,
     )
+
+
+def characterize_instance(instance: ModuleInstance, horizon: float) -> OutcomeSummary:
+    """Characterize one sampled instance analytically; returns the
+    `OutcomeSummary` of its aggressor subarray."""
+    return characterize_instances([instance], horizon)[0]
+
+
+def _groups(count: int, size: int, workers: int) -> list[range]:
+    """Consecutive groups covering ``count`` items: at most ``size`` items
+    each, and at least ``min(workers, count)`` groups so that every pool
+    thread gets one."""
+    groups = max(-(-count // size), min(workers, count), 1)
+    bounds = [count * index // groups for index in range(groups + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
 @dataclass
@@ -194,12 +227,16 @@ class FleetCampaign:
         key = instance.cache_key()
         return key, self.cache.get(key, min_horizon=self.spec.horizon)
 
-    def _characterize(self, instance: ModuleInstance, key: str | None) -> OutcomeSummary:
-        """Compute one missed instance and store it under ``key``."""
-        summary = characterize_instance(instance, self.spec.horizon)
-        if key is not None:
-            self.cache.put(key, summary)
-        return summary
+    def _characterize(
+        self, instances: list[ModuleInstance], keys: list[str | None]
+    ) -> list[OutcomeSummary]:
+        """Compute a group of missed instances and store each under its
+        key."""
+        summaries = characterize_instances(instances, self.spec.horizon)
+        for key, summary in zip(keys, summaries):
+            if key is not None:
+                self.cache.put(key, summary)
+        return summaries
 
     def _rates(self, summary: OutcomeSummary) -> list[float]:
         """One instance's per-interval flip rates."""
@@ -253,6 +290,8 @@ class FleetCampaign:
         store = CheckpointStore(self.checkpoint_dir) if self.checkpoint_dir else None
         resumed_from = self._try_resume(store) if store else None
         end = self.spec.offset + self.spec.modules
+        # Missed instances go to the pool in groups that fill one block.
+        group_size = stack_size(self.spec.rows, self.spec.columns)
         hits = misses = 0
         since_checkpoint = 0
         interrupted = False
@@ -283,16 +322,21 @@ class FleetCampaign:
                     found = [self._lookup(inst) for inst in instances]
                     summaries = [summary for _, summary in found]
                     missed = [i for i, summary in enumerate(summaries) if summary is None]
+                    groups = [
+                        [missed[i] for i in group]
+                        for group in _groups(len(missed), group_size, self.workers)
+                    ]
                     compute = map if executor is None else executor.map
                     # map() preserves submission order; result order is what
                     # keeps the aggregate an exact index prefix.
                     computed = compute(
                         self._characterize,
-                        [instances[i] for i in missed],
-                        [found[i][0] for i in missed],
+                        [[instances[i] for i in group] for group in groups],
+                        [[found[i][0] for i in group] for group in groups],
                     )
-                    for i, summary in zip(missed, computed):
-                        summaries[i] = summary
+                    for group, group_summaries in zip(groups, computed):
+                        for i, summary in zip(group, group_summaries):
+                            summaries[i] = summary
                     rates = [self._rates(summary) for summary in summaries]
                     with self._lock:
                         for instance_rates in rates:

@@ -94,17 +94,37 @@ def total_leakage_rates(
     of the result's shape and dtype, receives the rates instead of a fresh
     array: a caller walking row blocks reuses one buffer.
     """
-    if _obs_state.enabled:
-        _LEAKAGE_EVALS.inc(np.size(lambda_int))
     a_int = profile.retention_temperature_factor(temperature_c)
     a_cd = profile.coupling_temperature_factor(temperature_c)
-    intrinsic = lambda_int * a_int
+    factor = a_cd * np.asarray(coupling_multiplier)
+    return leakage_rates(lambda_int, kappa, a_int, factor, vrt=vrt, out=out)
+
+
+def leakage_rates(
+    lambda_int: np.ndarray,
+    kappa: np.ndarray,
+    intrinsic: float | np.ndarray,
+    coupling: float | np.ndarray,
+    vrt: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per-cell total leakage rate ``lambda_int * intrinsic (* vrt) + kappa
+    * coupling``, from the temperature factor of intrinsic leakage and the
+    coupling temperature factor times the waveform's multiplier.
+
+    The factors may be arrays broadcastable against the cell arrays (one
+    per die of a stack).  A float32 array of them rounds and multiplies
+    exactly as a Python float factor does against float32 cells, so the
+    rates are bit for bit `total_leakage_rates`'s.  ``out`` as there.
+    """
+    if _obs_state.enabled:
+        _LEAKAGE_EVALS.inc(np.size(lambda_int))
+    intrinsic = lambda_int * intrinsic
     if vrt is not None:
         intrinsic = intrinsic * vrt
-    factor = a_cd * np.asarray(coupling_multiplier)
-    if out is not None and out.dtype != np.result_type(intrinsic, kappa, factor):
+    if out is not None and out.dtype != np.result_type(intrinsic, kappa, coupling):
         raise ValueError("out must have the dtype of the rates")
-    coupling = np.multiply(kappa, factor, out=out)
+    coupling = np.multiply(kappa, coupling, out=out)
     if (
         isinstance(coupling, np.ndarray)
         and coupling.dtype == np.result_type(intrinsic, coupling)

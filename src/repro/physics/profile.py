@@ -52,12 +52,75 @@ from repro.physics.constants import T_REFERENCE_C, V_CELL_CHARGED
 #: it stay in a core's L2 cache instead of streaming full-size temporaries.
 BLOCK_CELLS = 1 << 16
 
+#: One array's lognormal draw for `sample_lognormals`: its generator and
+#: the mean and sigma of the normal it exponentiates.
+Draw = tuple[np.random.Generator, float, float]
+
 
 def row_blocks(rows: int, columns: int) -> list[slice]:
     """Consecutive row slices of about `BLOCK_CELLS` cells, at least one
     row each, covering ``rows`` rows of ``columns`` cells."""
     step = max(1, BLOCK_CELLS // max(columns, 1))
     return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
+def stack_size(rows: int, columns: int) -> int:
+    """How many arrays of ``rows`` x ``columns`` cells fill one block of
+    `BLOCK_CELLS` cells: at least one."""
+    return max(1, BLOCK_CELLS // max(rows * columns, 1))
+
+
+def stack_blocks(arrays: int, rows: int, columns: int) -> list[tuple[slice, slice]]:
+    """Blocks of about `BLOCK_CELLS` cells covering a stack of ``arrays``
+    arrays of ``rows`` x ``columns``, in order, as (arrays, rows) slice
+    pairs: `stack_size` whole arrays at a time, or the `row_blocks` of one
+    array at a time when one array fills a block."""
+    per = stack_size(rows, columns)
+    if per > 1:
+        every = slice(0, rows)
+        return [
+            (slice(lo, min(lo + per, arrays)), every) for lo in range(0, arrays, per)
+        ]
+    return [
+        (slice(index, index + 1), block)
+        for index in range(arrays)
+        for block in row_blocks(rows, columns)
+    ]
+
+
+def sample_lognormals(
+    draws: list[Draw],
+    shape: tuple[int, ...],
+    row_factors: np.ndarray | None = None,
+    caps: np.ndarray | None = None,
+) -> np.ndarray:
+    """A stack of ``exp(float32(normal(mu, sigma)))`` arrays of ``shape``,
+    one per ``(rng, mu, sigma)`` draw, each row times its factor and
+    clipped at its array's cap, built one `stack_blocks` block at a time.
+
+    ``row_factors`` holds one float32 factor per row of each array
+    (``(len(draws), shape[0])``), ``caps`` one float32 cap per array.
+    Consecutive draws from one generator equal one whole-array draw bit
+    for bit, so each array's rows are drawn from its own generator into the
+    block and the block is then rounded, exponentiated, scaled and clipped
+    in one pass while it is still in cache, with no full-size float64
+    temporary; every array equals what its draw gives alone.
+    """
+    out = np.empty((len(draws), *shape), dtype=np.float32)
+    if out.size == 0:
+        return out
+    cells = out.reshape(len(draws), shape[0] if shape else 1, -1)
+    for arrays, rows in stack_blocks(*cells.shape):
+        block = cells[arrays, rows]
+        for index in range(arrays.start, arrays.stop):
+            rng, mu, sigma = draws[index]
+            cells[index, rows] = rng.normal(mu, sigma, size=block.shape[1:])
+        np.exp(block, out=block)
+        if row_factors is not None:
+            block *= row_factors[arrays, rows, np.newaxis]
+        if caps is not None:
+            np.minimum(block, caps[arrays, np.newaxis, np.newaxis], out=block)
+    return out
 
 
 @dataclass(frozen=True)
@@ -198,65 +261,23 @@ class DisturbanceProfile:
     # ------------------------------------------------------------------
     # Population sampling
     # ------------------------------------------------------------------
-    def _sample_lognormal(
-        self,
-        rng: np.random.Generator,
-        mu: float,
-        sigma: float,
-        shape: tuple[int, ...],
-        row_factors: np.ndarray | None = None,
-        cap: float = math.inf,
-    ) -> np.ndarray:
-        """``exp(float32(normal(mu, sigma)))`` per cell, times the row's
-        factor and clipped at ``cap``, built one row block at a time.
+    def intrinsic_draw(self, rng: np.random.Generator) -> Draw:
+        """The ``(rng, mu, sigma)`` draw of `sample_lognormals` that gives
+        per-cell intrinsic leakage rates (1/s at 85C)."""
+        return rng, -math.log(self.median_retention), self.sigma_retention
 
-        Consecutive draws from one generator equal one whole-array draw bit
-        for bit, so each block's float64 draw is rounded, exponentiated,
-        scaled and clipped while it is still in cache, with no full-size
-        float64 temporary.
+    def kappa_draw(self, rng: np.random.Generator) -> Draw:
+        """The ``(rng, mu, sigma)`` draw of `sample_lognormals` that gives
+        per-cell coupling susceptibilities (1/s at 85C), before the row
+        factors and the die cap (`scaled_kappa_cap`).
+
+        Row factors (one multiplier per row, see `sample_row_factors`)
+        model row-level fabrication variation; they apply BEFORE the cap,
+        so the cap remains the per-die vulnerability ceiling.  The
+        per-subarray spatial factor (`sample_subarray_scale`) applies on
+        top.
         """
-        out = np.empty(shape, dtype=np.float32)
-        if out.size == 0:
-            return out
-        cells = out.reshape(out.shape[0], -1) if out.ndim else out.reshape(1, 1)
-        factors = None if row_factors is None else row_factors.astype(np.float32)
-        for rows in row_blocks(*cells.shape):
-            block = cells[rows]
-            block[...] = rng.normal(mu, sigma, size=block.shape)
-            np.exp(block, out=block)
-            if factors is not None:
-                block *= factors[rows, np.newaxis]
-            if math.isfinite(cap):
-                np.minimum(block, np.float32(cap), out=block)
-        return out
-
-    def sample_intrinsic_rates(
-        self, rng: np.random.Generator, shape: tuple[int, ...]
-    ) -> np.ndarray:
-        """Sample per-cell intrinsic leakage rates (1/s at 85C)."""
-        mu = -math.log(self.median_retention)
-        return self._sample_lognormal(rng, mu, self.sigma_retention, shape)
-
-    def sample_kappas(
-        self,
-        rng: np.random.Generator,
-        shape: tuple[int, ...],
-        row_factors: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Sample per-cell coupling susceptibilities (1/s at 85C).
-
-        ``row_factors`` (one multiplier per row, see `sample_row_factors`)
-        models row-level fabrication variation; it is applied BEFORE the
-        die cap so the cap remains the per-die vulnerability ceiling.
-        Callers apply the per-subarray spatial factor on top
-        (see `sample_subarray_scale`).
-        """
-        if row_factors is not None and row_factors.shape != (shape[0],):
-            raise ValueError("row_factors must have one entry per row")
-        mu = math.log(self.scaled_kappa_median())
-        return self._sample_lognormal(
-            rng, mu, self.sigma_kappa, shape, row_factors, self.scaled_kappa_cap()
-        )
+        return rng, math.log(self.scaled_kappa_median()), self.sigma_kappa
 
     def sample_row_factors(self, rng: np.random.Generator, rows: int) -> np.ndarray:
         """Sample per-row systematic coupling multipliers (median 1.0)."""

@@ -18,7 +18,7 @@ from repro.core import (
     retention_outcome,
     retention_time_arrays,
 )
-from repro.core.analytic import GUARDBAND_ROWS
+from repro.core.analytic import GUARDBAND_ROWS, disturb_summary
 from repro.physics.coupling import times_to_flip, total_leakage_rates
 
 PROFILE = get_module("S0").profile
@@ -81,6 +81,45 @@ def test_neighbour_multipliers_parity_and_source():
     # columns -> weaker-than-precharge coupling; ODD columns idle.
     assert lower[1::2] == pytest.approx(precharge)
     assert (lower[0::2] < precharge).all()
+
+
+@pytest.mark.parametrize("columns", [1, 3, 257])
+def test_neighbour_multipliers_on_odd_column_counts(columns):
+    """Neighbour column 2k+1 takes the aggressor's column 2k, and 2k its
+    column 2k+1, on any column count; unshared columns stay precharged."""
+    bits = expand_pattern(0x35, columns)
+    second = expand_pattern(0xC4, columns)
+    precharge = PROFILE.coupling_multiplier(0.5)
+    for second_bits in (None, second):
+        driven = aggressor_column_multipliers(
+            PROFILE, bits, 70.2e-6, 14e-9, second_bits=second_bits
+        )
+        upper, lower = (
+            neighbour_column_multipliers(
+                PROFILE, bits, 70.2e-6, 14e-9, role, second_bits=second_bits
+            )
+            for role in (SubarrayRole.UPPER_NEIGHBOUR, SubarrayRole.LOWER_NEIGHBOUR)
+        )
+        assert upper.shape == lower.shape == (columns,)
+        for column in range(columns):
+            partner = column ^ 1
+            shared = partner < columns
+            want = driven[partner] if shared else precharge
+            if column % 2:
+                assert upper[column] == want
+                assert lower[column] == precharge
+            else:
+                assert upper[column] == precharge
+                assert lower[column] == want
+    # The whole unit path, as a neighbour subarray of a bare population.
+    population = CellPopulation(
+        key=("odd-neighbour", columns), profile=PROFILE, rows=16, columns=columns
+    )
+    for role in (SubarrayRole.UPPER_NEIGHBOUR, SubarrayRole.LOWER_NEIGHBOUR):
+        summary = disturb_summary(population, WORST_CASE, DDR4, role)
+        outcome = disturb_outcome(population, WORST_CASE, DDR4, role)
+        assert summary.cells == 16 * columns
+        assert summary.flip_count(1.0) == outcome.flip_count(1.0)
 
 
 def test_neighbour_role_validation():

@@ -381,7 +381,7 @@ def test_all_hit_pass_submits_no_pool_task(tmp_path, monkeypatch):
     cold.run()
 
     calls = {"characterize": 0, "submit": 0}
-    characterize = campaign_module.characterize_instance
+    characterize = campaign_module.characterize_instances
     submit = ThreadPoolExecutor.submit
 
     def counting_characterize(*args, **kwargs):
@@ -392,7 +392,7 @@ def test_all_hit_pass_submits_no_pool_task(tmp_path, monkeypatch):
         calls["submit"] += 1
         return submit(self, *args, **kwargs)
 
-    monkeypatch.setattr(campaign_module, "characterize_instance", counting_characterize)
+    monkeypatch.setattr(campaign_module, "characterize_instances", counting_characterize)
     monkeypatch.setattr(ThreadPoolExecutor, "submit", counting_submit)
     warm = FleetCampaign(spec=spec, cache=OutcomeCache(str(tmp_path)), workers=2)
     result = warm.run()

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from repro._util.rng import derive_rng
 from repro.physics import DisturbanceProfile
-from repro.physics.profile import BLOCK_CELLS, row_blocks
+from repro.physics.profile import (
+    BLOCK_CELLS,
+    row_blocks,
+    sample_lognormals,
+    stack_blocks,
+    stack_size,
+)
 
 
 def make_profile(**overrides) -> DisturbanceProfile:
@@ -78,7 +84,7 @@ def generator_state(rng: np.random.Generator):
 def test_intrinsic_rates_equal_one_whole_array_draw(shape):
     profile = make_profile()
     blocked = derive_rng("blocked", "lambda", shape)
-    got = profile.sample_intrinsic_rates(blocked, shape)
+    (got,) = sample_lognormals([profile.intrinsic_draw(blocked)], shape)
     whole = derive_rng("blocked", "lambda", shape)
     mu = -math.log(profile.median_retention)
     want = whole.normal(mu, profile.sigma_retention, size=shape).astype(np.float32)
@@ -99,7 +105,13 @@ def test_kappas_equal_one_whole_array_draw(shape, row_factors, kappa_cap):
         else None
     )
     blocked = derive_rng("blocked", "kappa", shape)
-    got = profile.sample_kappas(blocked, shape, row_factors=factors)
+    cap = profile.scaled_kappa_cap()
+    (got,) = sample_lognormals(
+        [profile.kappa_draw(blocked)],
+        shape,
+        None if factors is None else factors[np.newaxis],
+        np.array([cap], dtype=np.float32) if math.isfinite(cap) else None,
+    )
     whole = derive_rng("blocked", "kappa", shape)
     mu = math.log(profile.scaled_kappa_median())
     want = whole.normal(mu, profile.sigma_kappa, size=shape).astype(np.float32)
@@ -120,10 +132,68 @@ def test_row_blocks_cover_the_rows_in_order():
         assert all(b.stop - b.start <= max(1, BLOCK_CELLS // columns) for b in blocks)
 
 
+#: Stacks whose arrays fill one block together, a stack of single cells,
+#: and arrays that each span several blocks.
+STACKS = ((5, 3, 7), (3, 64, 256), (4, 1, 1), (2, 2, BLOCK_CELLS + 3))
+
+
+@pytest.mark.parametrize("arrays,rows,columns", STACKS)
+def test_stacked_draws_equal_each_draw_alone(arrays, rows, columns):
+    """Each array of a stack, drawn from its own generator with its own
+    parameters, row factors and cap (finite or not), is the array it
+    draws alone."""
+    caps = (0.05, math.inf)
+    profiles = [
+        make_profile(median_kappa=1e-5 * (index + 1), kappa_cap=caps[index % 2])
+        for index in range(arrays)
+    ]
+    shape = (rows, columns)
+
+    def draws():
+        return [
+            profile.kappa_draw(derive_rng("stack", index, shape))
+            for index, profile in enumerate(profiles)
+        ]
+
+    factors = np.stack(
+        [
+            profile.sample_row_factors(derive_rng("stack-rows", index), rows)
+            for index, profile in enumerate(profiles)
+        ]
+    )
+    caps = np.array([p.scaled_kappa_cap() for p in profiles], dtype=np.float32)
+    stack = sample_lognormals(draws(), shape, factors, caps)
+    assert stack.shape == (arrays, rows, columns)
+    for index, draw in enumerate(draws()):
+        (alone,) = sample_lognormals(
+            [draw], shape, factors[index : index + 1], caps[index : index + 1]
+        )
+        assert_same_array(stack[index], alone)
+
+
+def test_stack_blocks_cover_the_stack_in_order():
+    for arrays, rows, columns in STACKS + ((40, 18, 8), (1, 257, 513)):
+        blocks = stack_blocks(arrays, rows, columns)
+        covered = [
+            (index, row)
+            for subarrays, block in blocks
+            for index in range(subarrays.start, subarrays.stop)
+            for row in range(block.start, block.stop)
+        ]
+        assert covered == [(i, r) for i in range(arrays) for r in range(rows)]
+        for subarrays, block in blocks:
+            count = subarrays.stop - subarrays.start
+            assert count == 1 or block == slice(0, rows)
+            assert count <= stack_size(rows, columns)
+            cells = count * (block.stop - block.start) * columns
+            assert cells <= max(BLOCK_CELLS, columns)
+
+
 def test_kappa_cap_applied_in_sampling():
     profile = make_profile(kappa_cap=0.01)
     rng = derive_rng("test", "kappa")
-    kappas = profile.sample_kappas(rng, (512, 512))
+    caps = np.array([profile.scaled_kappa_cap()], dtype=np.float32)
+    (kappas,) = sample_lognormals([profile.kappa_draw(rng)], (512, 512), caps=caps)
     assert float(kappas.max()) <= 0.01 * (1 + 1e-6)
 
 

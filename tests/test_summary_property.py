@@ -250,7 +250,6 @@ UNIT_SHAPES = (
 )
 
 ROLES = tuple(SubarrayRole)
-NON_NEIGHBOUR_ROLES = (SubarrayRole.AGGRESSOR, SubarrayRole.IDLE)
 
 
 @st.composite
@@ -274,8 +273,7 @@ def unit_conditions(draw):
         temperature_c=draw(st.sampled_from((45.0, 85.0))),
         second_aggressor_pattern=draw(st.sampled_from((None, aggressor ^ 0xFF))),
     )
-    # A neighbour shares every other column, so it needs an even count.
-    role = draw(st.sampled_from(ROLES if columns % 2 == 0 else NON_NEIGHBOUR_ROLES))
+    role = draw(st.sampled_from(ROLES))
     # The aggressor at the beginning, middle and end: the guardband is
     # clipped at either edge.
     row = draw(st.sampled_from((0, rows // 2, rows - 1)))

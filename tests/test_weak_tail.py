@@ -49,7 +49,7 @@ from repro.serve import CharacterizeRequest, RequestScheduler
 from repro.serve.protocol import record_to_json
 
 #: One cell, one row, an odd shape of several blocks, and a row wider than
-#: a block (even, so the neighbour roles apply).
+#: a block.
 SHAPES = ((1, 1), (1, 513), (257, 513), (2, BLOCK_CELLS + 2))
 TAIL_TEMPERATURES = (45.0, 85.0, 95.0, 150.0)
 TAIL_HORIZONS = (0.064, 0.512, 16.0, 128.0)
@@ -71,7 +71,7 @@ def assert_equal_summaries(actual: OutcomeSummary, expected: OutcomeSummary) -> 
 
 
 @st.composite
-def conditions(draw, columns: int) -> tuple:
+def conditions(draw) -> tuple:
     """(config without temperature, role, aggressor row index, guardband)."""
     aggressor = draw(st.sampled_from((0x00, 0xFF, 0x33)))
     config = DisturbConfig(
@@ -79,13 +79,7 @@ def conditions(draw, columns: int) -> tuple:
         victim_pattern=draw(st.sampled_from((None, 0xAA, 0x11))),
         second_aggressor_pattern=draw(st.sampled_from((None, aggressor ^ 0xFF))),
     )
-    # A neighbour shares every other column, so it needs an even count.
-    roles = (
-        tuple(SubarrayRole)
-        if columns % 2 == 0
-        else (SubarrayRole.AGGRESSOR, SubarrayRole.IDLE)
-    )
-    role = draw(st.sampled_from(roles))
+    role = draw(st.sampled_from(tuple(SubarrayRole)))
     return config, role, draw(st.sampled_from((0, 1, 2))), draw(st.sampled_from((0, 8)))
 
 
@@ -108,7 +102,7 @@ def tails(draw) -> tuple:
     timing = HBM2 if spec.interface == "HBM2" else DDR4
     tail_temperature = draw(st.sampled_from(TAIL_TEMPERATURES))
     tail_horizon = draw(st.sampled_from(TAIL_HORIZONS))
-    config, role, row, guardband = draw(conditions(columns))
+    config, role, row, guardband = draw(conditions())
     build = dataclasses.replace(
         config, temperature_c=draw(st.sampled_from((-40.0, tail_temperature)))
     )
@@ -131,7 +125,7 @@ def test_tail_answers_every_covered_condition_like_the_population(built, data):
     assert tail.index.dtype == np.uint32
     assert tail.lambda_int.dtype == tail.kappa.dtype == np.float32
     assert (tail.anti is None) == (population.profile.anti_cell_fraction == 0)
-    config, role, row, guardband = data.draw(conditions(population.columns))
+    config, role, row, guardband = data.draw(conditions())
     aggressor_row = (0, population.rows // 2, population.rows - 1)[row]
     below = float(np.nextafter(tail.temperature_c, -np.inf))
     for temperature in (tail.temperature_c, below, -40.0):
