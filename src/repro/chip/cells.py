@@ -85,8 +85,7 @@ class Leakage:
         )
 
     def __getitem__(self, index) -> "Leakage":
-        """Each factor indexed alike: a slice of the dies, or ``[die, 0,
-        0]`` for one die's factors as scalars."""
+        """Each factor indexed alike (a slice of the dies)."""
         return Leakage(
             self.intrinsic[index],
             self.coupling[index],

@@ -787,19 +787,15 @@ def _block_events(
     failures = nominal[failing]
     # Where each subarray's picked cells and failures begin and end (the
     # picked cells ascend, and the failures come in cell order), and each
-    # picked cell's die factors: one die's broadcast as scalars.
+    # picked cell's die factors.
     subarrays, size = shape[0], flat.size // shape[0]
-    bounds, failing_bounds = [0, picked.size], [0, failures.size]
-    leakage = cells.leakage[0, 0, 0]
-    if subarrays > 1:
-        bounds = np.searchsorted(picked, np.arange(subarrays + 1) * size).tolist()
-        counts = [np.count_nonzero(own) for own in failing]
-        failing_bounds[1:] = np.cumsum(counts).tolist()
-        leakage = cells.leakage.repeat(np.diff(bounds))
+    bounds = np.searchsorted(picked, np.arange(subarrays + 1) * size).tolist()
+    counts = [np.count_nonzero(own) for own in failing]
+    failing_bounds = [0, *np.cumsum(counts).tolist()]
     ends = retention_times(
         cells.lambda_int.reshape(-1).take(picked),
         cells.kappa.reshape(-1).take(picked),
-        leakage,
+        cells.leakage.repeat(np.diff(bounds)),
         worst=True,
     )
     starts = flat.take(picked)
@@ -814,7 +810,7 @@ def _block_events(
         row_first = nominal.min(axis=2)
         parts = [
             (
-                picked[lo:hi] - index * size if index else picked[lo:hi],
+                picked[lo:hi] - index * size,
                 starts[lo:hi],
                 ends[lo:hi],
                 failures[failing_bounds[index] : failing_bounds[index + 1]],
