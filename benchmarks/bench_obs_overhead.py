@@ -97,7 +97,7 @@ def measure_serve_overhead(rounds: int = 5, requests: int = 50) -> dict:
     stamps the access-log record — the full tracing-enabled path."""
     from repro.serve import ServeClient, ServeConfig, ServerThread
 
-    thread = ServerThread(ServeConfig(port=0, batch_window_ms=0.0))
+    thread = ServerThread(ServeConfig(port=0))
     times: dict[str, list[float]] = {"disabled": [], "enabled": []}
     try:
         with ServeClient(port=thread.port) as client:

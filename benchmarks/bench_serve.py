@@ -160,13 +160,10 @@ def run_serve_bench(
     requests: int = 240,
     clients: int = 8,
     hot_fraction: float = 0.8,
-    batch_window_ms: float = 10.0,
 ) -> dict:
     """Closed-loop client mix against an in-process single server."""
     work = _work_list(requests, hot_fraction)
-    server = ServerThread(
-        ServeConfig(port=0, batch_window_ms=batch_window_ms)
-    )
+    server = ServerThread(ServeConfig(port=0))
     try:
         wall, latencies, retried = _drive(server.port, work, clients)
         stats = dict(server.scheduler.stats)
@@ -177,7 +174,6 @@ def run_serve_bench(
         "requests": requests,
         "clients": clients,
         "hot_fraction": hot_fraction,
-        "batch_window_ms": batch_window_ms,
         "wall_s": round(wall, 3),
         "throughput_rps": round(requests / wall, 1),
         "p50_ms": round(p50, 2),
@@ -186,7 +182,6 @@ def run_serve_bench(
         "coalesced": stats["coalesced"],
         "answered": stats["answered"],
         "engine_jobs": stats["jobs"],
-        "batched_requests": stats["batched_requests"],
     }
 
 
@@ -195,7 +190,6 @@ def run_fleet_bench(
     requests: int = 240,
     clients: int = 8,
     hot_fraction: float = 0.8,
-    batch_window_ms: float = 10.0,
 ) -> dict:
     """The same mix against a real ``repro serve --fleet N`` subprocess.
 
@@ -215,7 +209,6 @@ def run_fleet_bench(
             sys.executable, "-m", "repro", "serve",
             "--fleet", str(fleet),
             "--port", "0",
-            "--batch-window-ms", str(batch_window_ms),
         ],
         env=env,
         stderr=subprocess.PIPE,
@@ -280,7 +273,6 @@ def run_fleet_bench(
         "requests": requests,
         "clients": clients,
         "hot_fraction": hot_fraction,
-        "batch_window_ms": batch_window_ms,
         "cpu_count": os.cpu_count(),
         "wall_s": round(wall, 3),
         "throughput_rps": round(requests / wall, 1),
@@ -291,7 +283,6 @@ def run_fleet_bench(
         "coalesced": totals.get("coalesced", 0),
         "answered": totals.get("answered", 0),
         "engine_jobs": totals.get("jobs", 0),
-        "batched_requests": totals.get("batched_requests", 0),
         "clean_drain": True,
     }
 
@@ -333,7 +324,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--requests", type=int, default=240)
     parser.add_argument("--clients", type=int, default=8)
     parser.add_argument("--hot-fraction", type=float, default=0.8)
-    parser.add_argument("--batch-window-ms", type=float, default=10.0)
     parser.add_argument(
         "--fleet", type=int, default=0, metavar="N",
         help="also bench a repro serve --fleet N subprocess and record "
@@ -349,7 +339,6 @@ def main(argv: list[str] | None = None) -> int:
         requests=args.requests,
         clients=args.clients,
         hot_fraction=args.hot_fraction,
-        batch_window_ms=args.batch_window_ms,
     )
     if args.fleet:
         fleet_result = run_fleet_bench(
@@ -357,7 +346,6 @@ def main(argv: list[str] | None = None) -> int:
             requests=args.requests,
             clients=args.clients,
             hot_fraction=args.hot_fraction,
-            batch_window_ms=args.batch_window_ms,
         )
         fleet_result["rps_vs_single_process"] = round(
             fleet_result["throughput_rps"] / result["throughput_rps"], 2

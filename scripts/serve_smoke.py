@@ -4,11 +4,15 @@ Starts ``repro serve`` as a real subprocess on an ephemeral port, fires
 concurrent duplicate requests with the bundled client, and asserts the
 things the serving layer promises:
 
-* every request answers 200 with identical payloads;
+* every request answers 200 with identical payloads, and the burst runs
+  exactly one engine job: over it ``stats.jobs`` rises by 1 and
+  ``stats.coalesced + stats.answered`` by one less than the clients (a
+  duplicate that arrives after the job has stored its summaries is
+  answered from memory);
 * one sequential repeat after the burst is answered from the memory tier:
   the identical payload, no new engine job (``/healthz`` ``stats.jobs``)
   and ``stats.answered`` one higher;
-* two concurrent cold requests at two fresh temperatures (two batches,
+* two concurrent cold requests at two fresh temperatures (two lane jobs,
   which run side by side when the server has a lane per CPU to spare)
   each answer 200 with the records of an in-process ``Campaign`` run;
   in a single server they are cooler than the 85 C requests before them,
@@ -25,9 +29,10 @@ things the serving layer promises:
 * SIGTERM drains cleanly — exit code 0 and the drain banner on stderr.
 
 ``--fleet N`` runs the same checks through a ``repro serve --fleet N``
-front door instead: duplicates must still coalesce *after* sharding,
-and the sequential repeat must be answered from memory (both read from the
-aggregated ``/fleet/stats`` totals), the front door must expose
+front door instead: the duplicate burst must still run one engine job
+*after* sharding, and the sequential repeat must be answered from memory
+(both read from the aggregated ``/fleet/stats`` totals), the front door
+must expose
 its fleet metrics federated with per-worker labels, a request's
 ``X-Request-Id`` must surface in a worker's forwarded JSON log line,
 and SIGTERM must drain front door and workers to a zero exit.
@@ -155,8 +160,7 @@ def main(argv: list[str] | None = None) -> int:
         p for p in (os.path.join(REPO_ROOT, "src"),
                     env.get("PYTHONPATH")) if p
     )
-    command = [sys.executable, "-m", "repro", "serve", "--port", "0",
-               "--batch-window-ms", "25"]
+    command = [sys.executable, "-m", "repro", "serve", "--port", "0"]
     # The fleet front door forwards worker banners to its own stderr, so
     # the port scrape must anchor on the front-door banner specifically.
     banner = r"listening on http://[^:]+:(\d+)"
@@ -181,17 +185,29 @@ def main(argv: list[str] | None = None) -> int:
             else "server"
         print(f"serve_smoke: {role} up on port {port}")
 
+        with ServeClient(port=port) as client:
+            start = scheduler_counters(client, args.fleet)
         results = duplicate_calls(
             port, CLIENTS, lambda client: client.characterize(REQUEST)
         )
         if len(results[0]["records"]) != REQUEST["subarrays"]:
             fail(f"expected {REQUEST['subarrays']} records, "
                  f"got {len(results[0]['records'])}")
-        print(f"serve_smoke: {CLIENTS} duplicate requests OK, "
-              "identical payloads")
-
         with ServeClient(port=port) as client:
             before = scheduler_counters(client, args.fleet)
+        rise = {name: before.get(name, 0) - start.get(name, 0)
+                for name in ("jobs", "coalesced", "answered")}
+        if rise["jobs"] != 1:
+            fail(f"{CLIENTS} duplicate requests ran {rise['jobs']} engine "
+                 "jobs, not 1")
+        if rise["coalesced"] + rise["answered"] != CLIENTS - 1:
+            fail(f"{CLIENTS} duplicate requests: {rise['coalesced']} "
+                 f"coalesced + {rise['answered']} answered, not {CLIENTS - 1}")
+        print(f"serve_smoke: {CLIENTS} duplicate requests OK, identical "
+              f"payloads, one engine job ({rise['coalesced']} coalesced, "
+              f"{rise['answered']} answered)")
+
+        with ServeClient(port=port) as client:
             repeat = client.characterize(REQUEST)
             after = scheduler_counters(client, args.fleet)
         if repeat != results[0]:
@@ -226,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
               f"to the in-process Campaign ({lanes} lane(s){where})")
         if not args.fleet:
             # The fleet shards by a key that includes the temperature, so
-            # its cold batches may land on workers holding no tail.
+            # its cold requests may land on workers holding no tail.
             with ServeClient(port=port) as client:
                 hits = tail_hits(client) - hits_before
             units = len(colds) * REQUEST["subarrays"]

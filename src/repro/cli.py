@@ -484,7 +484,6 @@ def _cmd_serve(args: argparse.Namespace) -> str:
                 workers=args.workers,
                 cache_dir=args.cache_dir,
                 max_queue=args.max_queue,
-                batch_window_ms=args.batch_window_ms,
                 max_inflight=args.fleet_max_inflight,
                 trace_dir=args.trace_dir,
                 slow_trace_ms=args.slow_trace_ms,
@@ -501,7 +500,6 @@ def _cmd_serve(args: argparse.Namespace) -> str:
             workers=args.workers,
             cache_dir=args.cache_dir,
             max_queue=args.max_queue,
-            batch_window_ms=args.batch_window_ms,
             trace_dir=args.trace_dir,
             slow_trace_ms=args.slow_trace_ms,
         )
@@ -892,10 +890,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-queue", type=int, default=64,
         help="admission bound on in-flight requests; excess gets HTTP 429",
-    )
-    serve.add_argument(
-        "--batch-window-ms", type=float, default=5.0,
-        help="micro-batching window in milliseconds",
     )
     serve.add_argument(
         "--fleet", type=int, default=0, metavar="N",

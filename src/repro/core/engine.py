@@ -35,7 +35,7 @@ Telemetry: with `repro.obs` on, every resolved unit becomes one
 ``engine.unit`` span — identity, plan index, source (``computed``,
 ``memory``, ``disk`` or ``skipped``), attempts, executor and last error —
 recorded on the calling thread under ``engine.characterize`` (or the
-server's ``serve.batch``) by the same call that feeds
+server's ``serve.batch``, one per lane job) by the same call that feeds
 ``engine_units_total``, ``engine_unit_seconds`` and
 ``engine_unit_retries_total``.  A hit is timed by its lookup, a computed
 unit by its last attempt.  ``repro characterize --trace FILE`` streams
@@ -396,7 +396,7 @@ def _submit(pool: ThreadPoolExecutor, compute, unit: WorkUnit) -> Future:
     A pool thread runs tasks in its own `contextvars` Context.  Running the
     task in a copy of the submitter's context (one copy per task: a Context
     is single-entry) lets code on the pool thread see the submitter's
-    active campaign or batch span, as log records and timing wrappers
+    active campaign or lane-job span, as log records and timing wrappers
     there expect.
     """
     return pool.submit(contextvars.copy_context().run, compute, unit)
@@ -500,13 +500,12 @@ class CharacterizationEngine:
         failure_policy: ``raise`` (default) aborts the campaign on an
             exhausted unit; ``skip-with-record`` completes it with an
             explicit ``status="skipped"`` record in the unit's slot.
-        serial_fallback: when ``True`` (default), a multi-worker request in
-            a process that may run on one CPU only (its affinity mask, see
-            `repro._util.cpus.usable_cpus`) runs in-process instead of
-            paying pool overhead for no parallelism (logged, counted, and
-            stamped on the ``engine.characterize`` span).  ``False`` forces
-            the pool — used by tests that exercise pool mechanics
-            regardless of host.
+
+    A multi-worker request in a process that may run on one CPU only (its
+    affinity mask, see `repro._util.cpus.usable_cpus`) runs in-process
+    instead of paying pool overhead for no parallelism: the serial
+    fallback, logged, counted, and stamped on the ``engine.characterize``
+    span.
     """
 
     scale: CampaignScale = STANDARD_SCALE
@@ -517,7 +516,6 @@ class CharacterizationEngine:
     retry_backoff: float = 0.05
     timeout: float | None = None
     failure_policy: FailurePolicy | str = FailurePolicy.RAISE
-    serial_fallback: bool = True
     #: Effective-execution report of the most recent campaign pass —
     #: what actually ran (worker count, fallback decision), as
     #: opposed to what was requested.  ``None`` until the first pass.
@@ -575,24 +573,16 @@ class CharacterizationEngine:
     ) -> list[OutcomeSummary | None]:
         """Resolve summaries for an explicit unit list, in list order.
 
-        The submission hook used by `repro.serve`: a caller that plans (and
-        possibly deduplicates or merges) its own unit lists still gets the
-        full engine treatment — cache lookups, pool execution, retries,
-        timeout, and the failure policy.  Each summary answers every
-        interval up to ``max(SEARCH_INTERVAL, *intervals)``; a cached one
-        that is shorter is recomputed to that horizon and replaced.  A
-        ``None`` entry is a unit abandoned under ``skip-with-record``.
+        The submission hook used by `repro.serve`: a caller that plans its
+        own unit list still gets the full engine treatment — cache lookups,
+        pool execution, retries, timeout, and the failure policy.  Each
+        summary answers every interval up to ``max(SEARCH_INTERVAL,
+        *intervals)``; a cached one that is shorter is recomputed to that
+        horizon and replaced.  A ``None`` entry is a unit abandoned under
+        ``skip-with-record``.
         """
         horizon = max((SEARCH_INTERVAL, *intervals))
         return self._summaries(list(units), horizon)
-
-    def unit_key(self, unit: WorkUnit) -> str:
-        """Content-addressed cache key of one unit (memoized per engine).
-
-        Public so batching layers can deduplicate overlapping submissions
-        by the same identity the cache uses.
-        """
-        return self._unit_key(unit)
 
     # ------------------------------------------------------------------
     # Memoized per-serial/per-unit lookups
@@ -693,7 +683,7 @@ class CharacterizationEngine:
         errors: dict[int, str] = {}
         queue = list(pending)
         pooled = self.workers > 1 and len(queue) > 1
-        fallback = pooled and self.serial_fallback and usable_cpus() <= 1
+        fallback = pooled and usable_cpus() <= 1
         if fallback:
             # The CI case behind BENCH_engine.json's parallel_speedup 0.518:
             # a pool on a 1-core host only adds scheduling overhead.

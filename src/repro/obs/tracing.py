@@ -28,7 +28,7 @@ request failures.
 
 Spans may also carry **links** — references to other traces that caused
 or joined this work without being its parent.  The serve scheduler links
-each micro-batch span to every request trace folded into the batch.
+a coalesced request's span to the primary request it attached to.
 
 When observability is disabled, ``span(...)`` returns a shared no-op
 context manager: no allocation, no clock reads.
@@ -182,7 +182,7 @@ class Span:
 
     def add_link(self, trace_id: str, span_id: str) -> None:
         """Reference another trace that caused or joined this span's work
-        without being its parent (e.g. a request folded into a batch)."""
+        without being its parent (e.g. a coalesced request's primary)."""
         if self._finished:
             return
         self.links.append({"trace_id": trace_id, "span_id": span_id})

@@ -24,7 +24,6 @@ from repro.physics.coupling import (
     total_leakage_rates,
 )
 from repro.physics.profile import DisturbanceProfile
-from repro.physics.retention import retention_rates, retention_times
 from repro.physics.rowhammer import (
     ANTI_DIRECTION_FACTOR,
     effective_hammer_count,
@@ -55,8 +54,6 @@ __all__ = [
     "times_to_flip",
     "total_leakage_rates",
     "DisturbanceProfile",
-    "retention_rates",
-    "retention_times",
     "ANTI_DIRECTION_FACTOR",
     "effective_hammer_count",
     "neighbour_flip_mask",

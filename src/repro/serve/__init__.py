@@ -1,7 +1,7 @@
 """repro.serve: async characterization service (stdlib-only).
 
 An HTTP JSON front end over the Campaign/engine/OutcomeCache stack with
-request coalescing, micro-batching, and backpressure — plus a
+request coalescing, answers from memory, and backpressure — plus a
 consistent-hash sharded multi-worker fleet (`repro.serve.fleet`) for
 horizontal scale-out.  See ``docs/SERVING.md`` for the API schema and
 operational contract.

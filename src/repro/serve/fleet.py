@@ -6,13 +6,12 @@ horizontally sharded tier: one asyncio *front door* process that owns N
 one of them.
 
 The routing invariant is the whole point.  Requests are sharded by their
-``batch_key()`` — (kind, geometry, temperature), the same grouping the
-scheduler micro-batches on — through a consistent-hash ring, so duplicate
-and batchable requests always land on the *same* worker and the
-in-process coalescing/micro-batching built in PR 5 keeps its hit ratios
-after sharding.  Random or round-robin spraying would slice each hot key
-across N workers and divide the coalesce ratio by N; hashing the batch
-key preserves it.
+``batch_key()`` — (kind, geometry, temperature) — through a
+consistent-hash ring, so duplicates always land on the *same* worker,
+where they still coalesce after sharding, and the requests of one
+condition share that worker's memory tier.  Random or round-robin
+spraying would slice each hot key across N workers and divide the
+coalesce ratio by N; hashing the batch key preserves it.
 
 The front door owns the worker lifecycle:
 
@@ -122,7 +121,6 @@ class FleetConfig:
     workers: int = 0
     cache_dir: str | None = None
     max_queue: int = 64
-    batch_window_ms: float = 5.0
     max_inflight: int = 32
     hash_replicas: int = 64
     restart_backoff_s: float = 0.5
@@ -244,8 +242,6 @@ class FleetFrontDoor(AsyncHttpServer):
             str(config.cache_dir),
             "--max-queue",
             str(config.max_queue),
-            "--batch-window-ms",
-            str(config.batch_window_ms),
         ]
         if config.trace_dir:
             command += [
@@ -714,7 +710,7 @@ class FleetFrontDoor(AsyncHttpServer):
     async def _fleet_stats(self) -> HttpResponse:
         """Aggregate every live worker's scheduler stats into one body.
 
-        The coalesce/batching counters live in the workers (that is where
+        The coalescing and job counters live in the workers (that is where
         the scheduling happens); this route is how a load generator or an
         operator reads the *fleet-wide* hit ratios after sharding.
         """

@@ -14,9 +14,10 @@ same digest primitive that addresses engine outcomes), hashing every
 request field.  Two requests with equal keys are *the same computation*
 and the scheduler coalesces them onto one in-flight future.
 
-Batching: :meth:`batch_key` is the coarser grouping — requests that share
-an execution context (kind, geometry, temperature) but differ in module
-or intervals can be folded into one engine submission.
+Routing: :meth:`batch_key` is the coarser grouping of requests that share
+an execution context (kind, geometry, temperature).  The fleet front door
+(`repro.serve.fleet`) routes on it, so the requests of one condition
+reach one worker.
 """
 
 from __future__ import annotations
@@ -202,8 +203,8 @@ class CharacterizeRequest:
         )
 
     def batch_key(self) -> tuple:
-        """Execution-context grouping: requests sharing this key fold
-        into one engine submission (same scale, same condition)."""
+        """Execution-context grouping (same scale, same condition): the
+        fleet front door's routing key."""
         return (
             "characterize",
             self.subarrays,

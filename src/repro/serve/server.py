@@ -90,11 +90,9 @@ class ServeConfig:
     workers: int = 0
     cache_dir: str | None = None
     max_queue: int = 64
-    batch_window_ms: float = 5.0
     trace_dir: str | None = None
     slow_trace_ms: float = 1000.0
     fleet_checkpoint_every: int = 500
-    fleet_max_jobs: int = 4
 
 
 def capture_slow_trace(
@@ -144,7 +142,6 @@ class ReproServer(AsyncHttpServer):
             workers=config.workers,
             cache=OutcomeCache(directory=config.cache_dir),
             max_queue=config.max_queue,
-            batch_window_s=config.batch_window_ms / 1000.0,
         )
         # Fleet campaigns get their own cache handle (job threads must not
         # share the scheduler's memory tier) over the same disk directory,
@@ -157,7 +154,6 @@ class ReproServer(AsyncHttpServer):
             cache=OutcomeCache(directory=config.cache_dir),
             workers=config.workers,
             checkpoint_every=config.fleet_checkpoint_every,
-            max_running=config.fleet_max_jobs,
         )
         self._started = time.monotonic()
 
@@ -382,13 +378,12 @@ async def _run_async(config: ServeConfig) -> None:
     await server.start()
     _LOG.info(
         "repro serve: listening on http://%s:%d (lanes=%d, workers=%d, "
-        "max_queue=%d, batch_window=%gms)",
+        "max_queue=%d)",
         config.host,
         server.port,
         server.scheduler.lanes,
         config.workers,
         config.max_queue,
-        config.batch_window_ms,
         extra={"host": config.host, "port": server.port},
     )
     await stop.wait()

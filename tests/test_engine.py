@@ -388,7 +388,7 @@ def test_engine_cache_entries_grow_once_per_longer_interval():
     # A longer interval misses every short entry once and replaces it.
     engine.compute_summaries(units, (16.0,))
     assert (cache.puts, cache.misses, len(cache)) == (2 * n, 2 * n, n)
-    held = [cache.get(engine.unit_key(unit)) for unit in units]
+    held = [cache.get(unit.cache_key()) for unit in units]
     assert {summary.horizon for summary in held} == {16.0}
     # A shorter interval is answered by the grown entries.
     before = cache.stats

@@ -99,18 +99,6 @@ def test_no_fallback_on_multicore_host(confine, spans):
     assert records == _records()
 
 
-def test_serial_fallback_false_forces_pool(one_cpu, spans):
-    engine = CharacterizationEngine(scale=QUICK_SCALE, workers=2, serial_fallback=False)
-    records = engine.characterize_module("S0", WORST_CASE, INTERVALS)
-    (campaign,) = spans("engine.characterize")
-    assert campaign["attributes"]["serial_fallback"] is False
-    assert campaign["attributes"]["effective_workers"] == 2
-    # A real two-thread pool executed the units.
-    assert engine.last_execution["effective_workers"] == 2
-    assert _sources_and_executors(spans("engine.unit")) == {("computed", "threads")}
-    assert records == _records()
-
-
 def test_serial_engine_records_no_decision(one_cpu, spans):
     _records(workers=0)
     (campaign,) = spans("engine.characterize")

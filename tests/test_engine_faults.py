@@ -71,13 +71,16 @@ def inject(monkeypatch, tmp_path):
     return _inject
 
 
+@pytest.fixture(autouse=True)
+def two_cpus(confine):
+    """These tests exercise pool mechanics (retries and timeouts on pool
+    threads): a two-CPU affinity mask keeps a multi-worker engine on its
+    pool even on a 1-CPU host."""
+    confine(2)
+
+
 def run(**knobs):
-    # serial_fallback=False: these tests exercise pool mechanics (retries
-    # and timeouts on pool threads) and must use a real pool even on a
-    # 1-CPU host.
-    engine = CharacterizationEngine(
-        scale=QUICK_SCALE, serial_fallback=False, **knobs
-    )
+    engine = CharacterizationEngine(scale=QUICK_SCALE, **knobs)
     return engine.characterize_module("S0", WORST_CASE, INTERVALS)
 
 

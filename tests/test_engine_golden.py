@@ -40,16 +40,19 @@ def test_engine_records_are_pinned():
 
 
 def test_scheduler_batch_is_pinned():
-    """One served batch whose requests ask for different interval sets,
-    one of them past the paper's 16 s."""
+    """Served requests on one scheduler that ask for different interval
+    sets, one of them past the paper's 16 s, each run as its own lane job.
+    The digest was recorded with the three folded into one engine
+    submission; a summary answers every interval up to its horizon bit for
+    bit, so one job per request gives the same records."""
     scheduler = RequestScheduler()
     try:
-        responses = scheduler._execute_characterize(
-            [
+        responses = [
+            scheduler._execute_characterize(
                 CharacterizeRequest(serial="S0", intervals=intervals)
-                for intervals in ((0.512,), (0.512, 16.0), (4.0, 64.0))
-            ]
-        )
+            )
+            for intervals in ((0.512,), (0.512, 16.0), (4.0, 64.0))
+        ]
     finally:
         scheduler._executor.shutdown(wait=True)
     assert images_digest(responses) == SCHEDULER_BATCH_DIGEST

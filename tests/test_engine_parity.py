@@ -88,21 +88,18 @@ def test_default_campaign_matches_oracle(config):
 @pytest.mark.engine
 @pytest.mark.parametrize("workers", (0, 4), ids=("serial", "threads"))
 @pytest.mark.parametrize("config", CONFIGS, ids=("worst-case", "alt"))
-def test_parallel_cached_engine_matches_serial(tmp_path, config, workers):
+def test_parallel_cached_engine_matches_serial(tmp_path, confine, config, workers):
     """The in-process engine and the thread pool, with and without a
     cache, must be bit-identical to the oracle."""
+    confine(2)  # the pool runs even on a 1-CPU host
     oracle_records = _oracle(config)
-    uncached = CharacterizationEngine(
-        scale=QUICK_SCALE, workers=workers, serial_fallback=False
-    )
+    uncached = CharacterizationEngine(scale=QUICK_SCALE, workers=workers)
     assert uncached.characterize_modules(MODULES, config, INTERVALS) \
         == oracle_records
     assert uncached.last_execution["effective_workers"] == max(workers, 1)
 
     cache = OutcomeCache(tmp_path)
-    engine = CharacterizationEngine(
-        scale=QUICK_SCALE, workers=workers, cache=cache, serial_fallback=False
-    )
+    engine = CharacterizationEngine(scale=QUICK_SCALE, workers=workers, cache=cache)
     cold = engine.characterize_modules(MODULES, config, INTERVALS)
     assert cold == oracle_records
     warm = engine.characterize_modules(MODULES, config, INTERVALS)
@@ -112,9 +109,10 @@ def test_parallel_cached_engine_matches_serial(tmp_path, config, workers):
 
 @pytest.mark.engine
 @pytest.mark.parametrize("workers", (0, 2, 4), ids=lambda w: f"workers{w}")
-def test_fault_tolerance_knobs_preserve_parity(tmp_path, workers):
+def test_fault_tolerance_knobs_preserve_parity(tmp_path, confine, workers):
     """Retries, backoff, timeout, and failure policy must never move a
     record: on a fault-free run they are pure control-plane settings."""
+    confine(2)
     oracle_records = _oracle(WORST_CASE)
     engine = CharacterizationEngine(
         scale=QUICK_SCALE,
@@ -124,7 +122,6 @@ def test_fault_tolerance_knobs_preserve_parity(tmp_path, workers):
         retry_backoff=0.01,
         timeout=120.0,
         failure_policy="skip-with-record",
-        serial_fallback=False,
     )
     cold = engine.characterize_modules(MODULES, WORST_CASE, INTERVALS)
     assert cold == oracle_records
@@ -134,14 +131,12 @@ def test_fault_tolerance_knobs_preserve_parity(tmp_path, workers):
 
 
 @pytest.mark.engine
-def test_trace_does_not_perturb_records(tmp_path, spans):
+def test_trace_does_not_perturb_records(tmp_path, confine, spans):
     from repro import obs
 
+    confine(2)
     oracle_records = _oracle(WORST_CASE)
-    engine = CharacterizationEngine(
-        scale=QUICK_SCALE, workers=2, cache=OutcomeCache(),
-        serial_fallback=False,
-    )
+    engine = CharacterizationEngine(scale=QUICK_SCALE, workers=2, cache=OutcomeCache())
     with obs.stream_spans(tmp_path / "trace.jsonl"):
         assert engine.characterize_modules(MODULES, WORST_CASE, INTERVALS) \
             == oracle_records

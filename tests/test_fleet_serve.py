@@ -39,7 +39,6 @@ def server(tmp_path):
     thread = ServerThread(
         ServeConfig(
             port=0,
-            batch_window_ms=5.0,
             cache_dir=str(tmp_path / "cache"),
             fleet_checkpoint_every=8,
         )

@@ -74,14 +74,13 @@ def test_serial_campaign_metrics_match_records():
 
 
 @pytest.mark.engine
-def test_engine_metrics_match_trace_and_records(spans):
+def test_engine_metrics_match_trace_and_records(confine, spans):
     """The headline acceptance: engine_units_total, cells_flipped_total, and
     engine unit counts must exactly match the engine.unit spans and the
     SubarrayRecord data for the same run — including across pool
     workers."""
-    engine = CharacterizationEngine(
-        scale=QUICK_SCALE, workers=2, serial_fallback=False
-    )
+    confine(2)
+    engine = CharacterizationEngine(scale=QUICK_SCALE, workers=2)
     records = engine.characterize_modules(("S0", "M8"), WORST_CASE, INTERVALS)
     snapshot = obs.snapshot()
     units = spans("engine.unit")
@@ -101,9 +100,10 @@ def test_engine_metrics_match_trace_and_records(spans):
 
 
 @pytest.mark.engine
-def test_engine_and_serial_paths_report_identical_flip_totals():
+def test_engine_and_serial_paths_report_identical_flip_totals(confine):
     """An in-process `Campaign` pass and a thread-pool pass feed the same
     flip totals."""
+    confine(2)
     obs.enable()
     in_process_records = Campaign(scale=QUICK_SCALE).characterize_module(
         "S0", WORST_CASE, INTERVALS
@@ -111,7 +111,7 @@ def test_engine_and_serial_paths_report_identical_flip_totals():
     in_process_total = _counter_value(obs.snapshot(), "cells_flipped_total")
     obs.reset()
     pool_records = CharacterizationEngine(
-        scale=QUICK_SCALE, workers=2, serial_fallback=False
+        scale=QUICK_SCALE, workers=2
     ).characterize_module("S0", WORST_CASE, INTERVALS)
     pool_total = _counter_value(obs.snapshot(), "cells_flipped_total")
     assert in_process_total == pool_total == _expected_flips(in_process_records)
@@ -122,10 +122,13 @@ def test_engine_and_serial_paths_report_identical_flip_totals():
 @pytest.mark.parametrize(
     "poison_once", (False, True), ids=("threads", "threads-poison-once")
 )
-def test_worker_spans_nest_under_campaign_span(poison_once, monkeypatch, tmp_path):
+def test_worker_spans_nest_under_campaign_span(
+    poison_once, monkeypatch, tmp_path, confine
+):
     """Each unit, pool-computed on a first attempt or a retry, is one
     ``engine.unit`` span recorded on the calling thread as a child of the
     campaign span, on the campaign's trace."""
+    confine(2)
     victim = 1
     if poison_once:
         monkeypatch.setenv(
@@ -137,7 +140,6 @@ def test_worker_spans_nest_under_campaign_span(poison_once, monkeypatch, tmp_pat
     obs.enable()
     CharacterizationEngine(
         scale=QUICK_SCALE, workers=2, retries=1, retry_backoff=0.0,
-        serial_fallback=False,
     ).characterize_module("S0", WORST_CASE, INTERVALS)
     retries = _counter_value(obs.snapshot(), "engine_unit_retries_total")
     assert retries == (1 if poison_once else 0)
@@ -165,10 +167,11 @@ def test_worker_spans_nest_under_campaign_span(poison_once, monkeypatch, tmp_pat
 
 @pytest.mark.engine
 @pytest.mark.parametrize("attempts", ("first", "retry"))
-def test_pool_threads_see_the_campaign_context(attempts, monkeypatch, spans):
+def test_pool_threads_see_the_campaign_context(attempts, monkeypatch, confine, spans):
     """A pool thread runs each attempt, first or retry, in a copy of the
     submitting context, so code there (log records, timing wrappers) sees
     the campaign span as the current trace context."""
+    confine(2)
     victim = 1
     seen = []
     failed = threading.Event()
@@ -184,7 +187,6 @@ def test_pool_threads_see_the_campaign_context(attempts, monkeypatch, spans):
     monkeypatch.setattr(engine_module, "execute_unit", checking_execute_unit)
     CharacterizationEngine(
         scale=QUICK_SCALE, workers=2, retries=1, retry_backoff=0.0,
-        serial_fallback=False,
     ).characterize_module("S0", WORST_CASE, INTERVALS)
     (campaign,) = spans("engine.characterize")
     expected = obs.TraceContext(campaign["trace_id"], campaign["span_id"])

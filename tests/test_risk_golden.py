@@ -223,9 +223,11 @@ def served_risk_digests() -> dict[str, dict[str, str]]:
             name: {
                 serial: sha256(
                     json.dumps(
-                        scheduler._execute_risk(
-                            [RiskRequest.from_json({"serial": serial, **body})]
-                        ),
+                        [
+                            scheduler._execute_risk(
+                                RiskRequest.from_json({"serial": serial, **body})
+                            )
+                        ],
                         sort_keys=True,
                     )
                 )

@@ -1,9 +1,10 @@
-"""The characterization service: coalescing, batching, backpressure, drain.
+"""The characterization service: coalescing, lane jobs, backpressure, drain.
 
 Five contracts anchor this file (they are the serving subsystem's
 acceptance criteria):
 
-* N concurrent identical requests produce exactly ONE engine submission;
+* N concurrent identical requests produce exactly ONE engine submission,
+  and distinct cold requests each run as their own lane job;
 * a request whose every unit is in the memory tier is answered without
   the submission lane, with the lane's bytes;
 * a full admission queue answers 429 with a ``Retry-After`` hint;
@@ -50,6 +51,9 @@ from repro.serve.protocol import record_to_json
 
 REQ = {"serial": "S0", "subarrays": 2, "rows": 64, "columns": 128,
        "intervals": [0.512, 16.0]}
+#: A cold request that keeps its lane busy for most of a second (about
+#: 0.7 s on a 2-CPU host), long enough to be seen in flight.
+SLOW_REQ = {**REQ, "subarrays": 4, "rows": 1024, "columns": 2048}
 
 
 def run_async(coro):
@@ -58,7 +62,7 @@ def run_async(coro):
 
 @pytest.fixture
 def server():
-    thread = ServerThread(ServeConfig(port=0, batch_window_ms=25.0))
+    thread = ServerThread(ServeConfig(port=0))
     yield thread
     thread.shutdown()
 
@@ -110,21 +114,22 @@ def test_cache_key_separates_distinct_requests():
     )
     assert base.cache_key() == same.cache_key()
     assert len({base.cache_key(), other.cache_key(), hotter.cache_key()}) == 3
-    # Same geometry + temperature batch together even across modules...
+    # Same geometry + temperature share a batch key (the fleet's routing
+    # key) even across modules...
     assert base.batch_key() == other.batch_key()
-    # ...but a different condition is a different engine submission.
+    # ...but a different condition is a different key.
     assert base.batch_key() != hotter.batch_key()
 
 
 # ---------------------------------------------------------------------------
-# Scheduler: coalescing, batching, admission control
+# Scheduler: coalescing, lane jobs, admission control
 # ---------------------------------------------------------------------------
 
 def test_concurrent_identical_requests_make_one_submission():
     """The tentpole contract: N duplicates -> 1 engine job."""
 
     async def scenario():
-        scheduler = RequestScheduler(batch_window_s=0.02)
+        scheduler = RequestScheduler()
         request = CharacterizeRequest.from_json(REQ)
         results = await asyncio.gather(
             *(scheduler.submit(request) for _ in range(8))
@@ -135,37 +140,72 @@ def test_concurrent_identical_requests_make_one_submission():
     stats, results = run_async(scenario())
     assert stats["jobs"] == 1
     assert stats["coalesced"] == 7
-    assert stats["batched_requests"] == 1  # one primary in the batch
+    assert stats["requests"] == 8  # one primary, seven attached
     assert all(r == results[0] for r in results)
     assert results[0]["records"][0]["status"] == "ok"
 
 
-def test_distinct_requests_fold_into_one_batch():
-    """Same geometry/temperature, different modules -> one submission."""
+def test_cold_requests_for_two_modules_run_as_two_jobs_side_by_side(confine):
+    """Two cold requests at one temperature, for S0 and S1, are two lane
+    jobs inside the lanes at once: each waits at a two-party barrier that
+    only the other can release."""
+    confine(2)
+    barrier = threading.Barrier(2, timeout=5)
+    requests = [
+        CharacterizeRequest.from_json({**REQ, "serial": serial})
+        for serial in ("S0", "S1")
+    ]
 
     async def scenario():
-        scheduler = RequestScheduler(batch_window_s=0.05)
-        requests = [
-            CharacterizeRequest.from_json({**REQ, "serial": serial})
-            for serial in ("S0", "S1", "M8")
-        ]
-        results = await asyncio.gather(
-            *(scheduler.submit(r) for r in requests)
-        )
-        await scheduler.drain()
-        return scheduler.stats, results
+        scheduler = RequestScheduler()
+        real_execute = scheduler._execute_batch
 
-    stats, results = run_async(scenario())
-    assert stats["jobs"] == 1
-    assert stats["batched_requests"] == 3
-    assert [r["serial"] for r in results] == ["S0", "S1", "M8"]
+        def meet_then_execute(*args):
+            barrier.wait()
+            return real_execute(*args)
+
+        scheduler._execute_batch = meet_then_execute
+        results = await asyncio.gather(
+            *(scheduler.submit(request) for request in requests)
+        )
+        stats = dict(scheduler.stats)
+        await scheduler.drain()
+        return results, stats
+
+    results, stats = run_async(scenario())
+    assert stats["lanes"] == 2 and stats["jobs"] == 2
+    for request, result in zip(requests, results):
+        assert result["serial"] == request.serial
+        assert result["records"] == _direct_records(request)
+
+
+def _hold_lane(scheduler: RequestScheduler) -> threading.Event:
+    """Hold every lane job of ``scheduler`` until the returned event is
+    set, so its request stays admitted and unfinished."""
+    release = threading.Event()
+    real_execute = scheduler._execute_batch
+
+    def hold_then_execute(*args):
+        release.wait(timeout=30)
+        return real_execute(*args)
+
+    scheduler._execute_batch = hold_then_execute
+    return release
+
+
+def _wait_until(condition, what: str, timeout: float = 30.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, f"timed out waiting until {what}"
+        time.sleep(0.005)
 
 
 def test_full_queue_raises_queue_full_with_retry_after():
     async def scenario():
-        # Window long enough that the first request is still bucketed
+        # The held lane keeps the first request admitted and unfinished
         # when the second arrives.
-        scheduler = RequestScheduler(max_queue=1, batch_window_s=5.0)
+        scheduler = RequestScheduler(max_queue=1)
+        release = _hold_lane(scheduler)
         first = asyncio.create_task(
             scheduler.submit(CharacterizeRequest.from_json(REQ))
         )
@@ -175,14 +215,15 @@ def test_full_queue_raises_queue_full_with_retry_after():
                 CharacterizeRequest.from_json({**REQ, "serial": "S1"})
             )
         assert excinfo.value.retry_after >= 1.0
-        scheduler.begin_drain()
+        release.set()
         results = await asyncio.gather(first)
         await scheduler.drain()
         return scheduler.stats, results
 
-    stats, _ = run_async(scenario())
+    stats, results = run_async(scenario())
     assert stats["rejected"] == 1
     assert stats["jobs"] == 1
+    assert results[0]["records"] == _direct_records(CharacterizeRequest.from_json(REQ))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +231,7 @@ def test_full_queue_raises_queue_full_with_retry_after():
 # ---------------------------------------------------------------------------
 
 def _two_temperatures() -> list[CharacterizeRequest]:
-    """Two cold requests in two batches (the batch key has the temperature)."""
+    """Two cold requests for one module at two temperatures."""
     return [
         CharacterizeRequest.from_json({**REQ, "temperature_c": temperature})
         for temperature in (45.0, 65.0)
@@ -198,18 +239,18 @@ def _two_temperatures() -> list[CharacterizeRequest]:
 
 
 def test_cold_batches_at_two_temperatures_run_side_by_side(confine):
-    """With two CPUs, two cold batches are inside the lanes at once: each
-    waits at a two-party barrier that only the other can release."""
+    """With two CPUs, two cold lane jobs are inside the lanes at once:
+    each waits at a two-party barrier that only the other can release."""
     confine(2)
     barrier = threading.Barrier(2, timeout=5)
 
     async def scenario():
-        scheduler = RequestScheduler(batch_window_s=0.01)
+        scheduler = RequestScheduler()
         real_execute = scheduler._execute_batch
 
-        def meet_then_execute(batch_key, requests, contexts=None):
+        def meet_then_execute(request, context=None):
             barrier.wait()
-            return real_execute(batch_key, requests, contexts)
+            return real_execute(request, context)
 
         scheduler._execute_batch = meet_then_execute
         results = await asyncio.gather(
@@ -236,27 +277,27 @@ def test_one_cpu_host_keeps_one_lane_in_order(monkeypatch, confine, cpus):
         confine(cpus)
     lock = threading.Lock()
     running = []
-    entries = []  # the batches running as each one enters
+    entries = []  # the jobs running as each one enters
 
     async def scenario():
-        scheduler = RequestScheduler(batch_window_s=0.01)
+        scheduler = RequestScheduler()
         real_execute = scheduler._execute_batch
 
-        def record_then_execute(batch_key, requests, contexts=None):
+        def record_then_execute(request, context=None):
             with lock:
-                running.append(requests[0].temperature_c)
+                running.append(request.temperature_c)
                 entries.append(tuple(running))
             try:
                 time.sleep(0.05)  # room for a second lane to start, were there one
-                return real_execute(batch_key, requests, contexts)
+                return real_execute(request, context)
             finally:
                 with lock:
-                    running.remove(requests[0].temperature_c)
+                    running.remove(request.temperature_c)
 
         scheduler._execute_batch = record_then_execute
         first, second = _two_temperatures()
         pending = asyncio.ensure_future(scheduler.submit(first))
-        await asyncio.sleep(0)  # the first bucket flushes first
+        await asyncio.sleep(0)  # the first job is queued first
         await asyncio.gather(pending, scheduler.submit(second))
         await scheduler.drain()
         return scheduler
@@ -270,7 +311,7 @@ def test_retry_after_divides_by_the_lanes(confine):
     hints = {}
     for cpus in (1, 4):
         confine(cpus)
-        scheduler = RequestScheduler(batch_window_s=0.01)
+        scheduler = RequestScheduler()
         scheduler._queued = 8
         scheduler._ewma_batch_s = 1.0
         hints[cpus] = scheduler.retry_after()
@@ -301,9 +342,9 @@ def test_draining_scheduler_refuses_new_primaries():
 
 def test_engine_errors_propagate_to_every_waiter():
     async def scenario():
-        scheduler = RequestScheduler(batch_window_s=0.02)
+        scheduler = RequestScheduler()
 
-        def explode(batch_key, requests, contexts=None):
+        def explode(request, context=None):
             raise RuntimeError("engine fell over")
 
         scheduler._execute_batch = explode
@@ -322,7 +363,7 @@ def test_engine_errors_propagate_to_every_waiter():
 
 def test_risk_requests_served():
     async def scenario():
-        scheduler = RequestScheduler(batch_window_s=0.01)
+        scheduler = RequestScheduler()
         result = await scheduler.submit(
             RiskRequest.from_json(
                 {"serial": "M8", "rows": 64, "columns": 128, "subarrays": 2}
@@ -382,27 +423,26 @@ def test_cli_risk_prints_the_served_default(server, capsys):
 
 
 # ---------------------------------------------------------------------------
-# Scheduler: failure accounting (queue depth must survive a dead batch)
+# Scheduler: failure accounting (queue depth must survive a dead job)
 # ---------------------------------------------------------------------------
 
 def test_failed_batch_releases_queue_slots_and_readmits():
-    """Fault injection on the flush path: a batch job that raises must
-    still return every admitted slot, or ``retry_after`` inflates forever
-    and the queue eventually wedges shut."""
+    """Fault injection on the lane: lane jobs that raise must still return
+    every admitted slot, or ``retry_after`` inflates forever and the queue
+    eventually wedges shut."""
 
     async def scenario():
-        scheduler = RequestScheduler(max_queue=2, batch_window_s=0.01)
-        calls = {"n": 0}
+        scheduler = RequestScheduler(max_queue=2)
+        broken = {"engine": True}
 
         real_execute = scheduler._execute_batch
 
-        def explode_once(batch_key, requests, contexts=None):
-            calls["n"] += 1
-            if calls["n"] == 1:
+        def explode_while_broken(request, context=None):
+            if broken["engine"]:
                 raise RuntimeError("engine fell over")
-            return real_execute(batch_key, requests, contexts)
+            return real_execute(request, context)
 
-        scheduler._execute_batch = explode_once
+        scheduler._execute_batch = explode_while_broken
         request = CharacterizeRequest.from_json(REQ)
         failed = await asyncio.gather(
             scheduler.submit(request),
@@ -412,6 +452,7 @@ def test_failed_batch_releases_queue_slots_and_readmits():
             return_exceptions=True,
         )
         depth_after_failure = scheduler.queue_depth
+        broken["engine"] = False
         # The queue recovered: a fresh request is admitted and served.
         recovered = await scheduler.submit(request)
         stats = dict(scheduler.stats)
@@ -423,34 +464,49 @@ def test_failed_batch_releases_queue_slots_and_readmits():
     assert depth == 0
     assert scheduler.queue_depth == 0
     assert recovered["records"][0]["status"] == "ok"
-    assert stats["failed_jobs"] == 1
+    assert stats["failed_jobs"] == 2  # one per lane job
     assert stats["rejected"] == 0  # nothing bounced off a phantom queue
 
 
-def test_short_result_list_fails_the_batch_not_the_queue():
-    """A batch that silently returns too few results is a bug in the
-    execution layer; every waiter gets an error and depth returns to 0."""
+def test_cancelled_lane_job_fails_its_waiters_not_the_queue():
+    """A lane job cancelled while its lane runs (a drain cut short, say)
+    still settles its request: every attached waiter gets an error, depth
+    returns to 0, and the cancellation propagates out of the job."""
+    entered = threading.Event()
 
     async def scenario():
-        scheduler = RequestScheduler(batch_window_s=0.02)
-        scheduler._execute_batch = lambda batch_key, requests, contexts=None: []
-        results = await asyncio.gather(
-            scheduler.submit(CharacterizeRequest.from_json(REQ)),
-            scheduler.submit(CharacterizeRequest.from_json(
-                {**REQ, "serial": "S1"}
-            )),
+        scheduler = RequestScheduler()
+        release = _hold_lane(scheduler)
+        held_execute = scheduler._execute_batch
+
+        def enter_then_execute(*args):
+            entered.set()
+            return held_execute(*args)
+
+        scheduler._execute_batch = enter_then_execute
+        request = CharacterizeRequest.from_json(REQ)
+        waiters = asyncio.gather(
+            scheduler.submit(request),
+            scheduler.submit(request),
             return_exceptions=True,
         )
+        assert await asyncio.to_thread(entered.wait, 30)  # the job is on its lane
+        (job,) = scheduler._jobs
+        job.cancel()
+        results = await waiters
         depth = scheduler.queue_depth
         stats = dict(scheduler.stats)
+        release.set()
         await scheduler.drain()
-        return results, depth, stats
+        return results, depth, stats, job
 
-    results, depth, stats = run_async(scenario())
+    results, depth, stats, job = run_async(scenario())
+    assert len(results) == 2
     assert all(isinstance(r, RuntimeError) for r in results)
-    assert all("result(s)" in str(r) for r in results)
+    assert all("abandoned" in str(r) for r in results)
+    assert job.cancelled()
     assert depth == 0
-    assert stats["failed_jobs"] == 1
+    assert stats["failed_jobs"] == 1 and stats["coalesced"] == 1
 
 
 def test_finish_is_idempotent_on_double_settlement():
@@ -478,7 +534,7 @@ def test_finish_is_idempotent_on_double_settlement():
 # Scheduler: requests answered from the memory tier
 # ---------------------------------------------------------------------------
 
-def _refuse_lane(batch_key, requests, contexts=None):
+def _refuse_lane(request, context=None):
     raise AssertionError("an answerable request reached the submission lane")
 
 
@@ -492,7 +548,7 @@ def _direct_records(request: CharacterizeRequest) -> list[dict]:
 
 def test_warm_request_is_answered_without_the_lane():
     async def scenario():
-        scheduler = RequestScheduler(batch_window_s=0.01)
+        scheduler = RequestScheduler()
         request = CharacterizeRequest.from_json(REQ)
         lane = await scheduler.submit(request)
         jobs = scheduler.stats["jobs"]
@@ -514,7 +570,7 @@ def test_longer_interval_grows_the_entry_then_is_answered():
     long = CharacterizeRequest.from_json({**REQ, "intervals": [0.512, 64.0]})
 
     async def scenario():
-        scheduler = RequestScheduler(batch_window_s=0.01)
+        scheduler = RequestScheduler()
         await scheduler.submit(short)
         grown = await scheduler.submit(long)  # 64 s > the cached horizon
         lane_jobs = scheduler.stats["jobs"]
@@ -537,11 +593,11 @@ def test_disk_only_entry_goes_through_the_lane_once(tmp_path):
     request = CharacterizeRequest.from_json(REQ)
 
     async def scenario():
-        first = RequestScheduler(cache=OutcomeCache(tmp_path), batch_window_s=0.01)
+        first = RequestScheduler(cache=OutcomeCache(tmp_path))
         written = await first.submit(request)
         await first.drain()
         # A fresh process over the same directory: memory is empty.
-        scheduler = RequestScheduler(cache=OutcomeCache(tmp_path), batch_window_s=0.01)
+        scheduler = RequestScheduler(cache=OutcomeCache(tmp_path))
         from_disk = await scheduler.submit(request)
         after_disk = dict(scheduler.stats)
         from_memory = await scheduler.submit(request)
@@ -561,10 +617,11 @@ def test_disk_only_entry_goes_through_the_lane_once(tmp_path):
 def test_answered_request_is_admitted_while_the_queue_is_full():
     async def scenario():
         cache = OutcomeCache()
-        warm = RequestScheduler(cache=cache, batch_window_s=0.01)
+        warm = RequestScheduler(cache=cache)
         expected = await warm.submit(CharacterizeRequest.from_json(REQ))
         await warm.drain()
-        scheduler = RequestScheduler(cache=cache, max_queue=1, batch_window_s=5.0)
+        scheduler = RequestScheduler(cache=cache, max_queue=1)
+        release = _hold_lane(scheduler)
         cold = asyncio.create_task(
             scheduler.submit(CharacterizeRequest.from_json({**REQ, "serial": "S1"}))
         )
@@ -572,7 +629,7 @@ def test_answered_request_is_admitted_while_the_queue_is_full():
         answered = await scheduler.submit(CharacterizeRequest.from_json(REQ))
         with pytest.raises(QueueFullError):
             await scheduler.submit(CharacterizeRequest.from_json({**REQ, "serial": "M8"}))
-        scheduler.begin_drain()
+        release.set()
         await cold
         stats = dict(scheduler.stats)
         await scheduler.drain()
@@ -582,12 +639,12 @@ def test_answered_request_is_admitted_while_the_queue_is_full():
     assert answered == expected
     assert stats["answered"] == 1
     assert stats["rejected"] == 1
-    assert stats["jobs"] == 1  # the cold request's batch only
+    assert stats["jobs"] == 1  # the cold request's job only
 
 
 def test_drain_refuses_an_answerable_request():
     async def scenario():
-        scheduler = RequestScheduler(batch_window_s=0.01)
+        scheduler = RequestScheduler()
         request = CharacterizeRequest.from_json(REQ)
         await scheduler.submit(request)
         scheduler.begin_drain()
@@ -606,7 +663,7 @@ def test_unit_evicted_after_its_probe_falls_back_to_the_lane():
     request = CharacterizeRequest.from_json(REQ)
 
     async def scenario():
-        scheduler = RequestScheduler(batch_window_s=0.01)
+        scheduler = RequestScheduler()
         scheduler.cache.holds = lambda key, min_horizon=0.0: True  # stale probe
         result = await scheduler.submit(request)
         stats, cache = dict(scheduler.stats), scheduler.cache.stats
@@ -624,7 +681,7 @@ def test_cache_counters_stay_exact_across_answered_and_cold_requests():
     units = len(plan_units(("S0",), WORST_CASE, CharacterizeRequest.from_json(REQ).scale))
 
     async def scenario():
-        scheduler = RequestScheduler(batch_window_s=0.01)
+        scheduler = RequestScheduler()
         colds = [
             CharacterizeRequest.from_json({**REQ, "temperature_c": 40.0 + 5.0 * index})
             for index in range(cold)
@@ -678,7 +735,7 @@ def test_served_records_byte_identical_to_direct_campaign():
     expected = [record_to_json(record) for record in direct]
 
     async def scenario():
-        scheduler = RequestScheduler(batch_window_s=0.01)
+        scheduler = RequestScheduler()
         result = await scheduler.submit(request)
         await scheduler.drain()
         return result
@@ -690,8 +747,8 @@ def test_served_records_byte_identical_to_direct_campaign():
 
 
 def test_batched_mixed_intervals_stay_byte_identical():
-    """Two requests with different interval lists share one submission yet
-    each gets exactly its own intervals back."""
+    """Two concurrent requests with different interval lists, at one
+    condition, each get exactly their own intervals back."""
     short = CharacterizeRequest.from_json({**REQ, "intervals": [0.512]})
     long = CharacterizeRequest.from_json(
         {**REQ, "serial": "S1", "intervals": [16.0, 64.0]}
@@ -707,7 +764,7 @@ def test_batched_mixed_intervals_stay_byte_identical():
     }
 
     async def scenario():
-        scheduler = RequestScheduler(batch_window_s=0.05)
+        scheduler = RequestScheduler()
         results = await asyncio.gather(
             scheduler.submit(short), scheduler.submit(long)
         )
@@ -715,7 +772,7 @@ def test_batched_mixed_intervals_stay_byte_identical():
         return scheduler.stats, results
 
     stats, results = run_async(scenario())
-    assert stats["jobs"] == 1
+    assert stats["jobs"] == 2
     for result in results:
         assert result["records"] == expected[result["serial"]]
         queried = {key for record in result["records"]
@@ -749,6 +806,17 @@ def test_http_round_trip_and_metrics(server):
 
 
 def test_http_concurrent_duplicates_coalesce(server):
+    scheduler = server.scheduler
+    real_execute = scheduler._execute_batch
+
+    def execute_once_all_arrive(*args):
+        # The primary's job stays in flight until every duplicate has been
+        # submitted, so each attaches to it (a duplicate arriving after the
+        # job would be answered from memory instead).
+        _wait_until(lambda: scheduler.stats["requests"] == 6, "every duplicate arrives")
+        return real_execute(*args)
+
+    scheduler._execute_batch = execute_once_all_arrive
     barrier = threading.Barrier(6)
     results = [None] * 6
 
@@ -812,8 +880,7 @@ def test_sigterm_drains_in_flight_work_before_exit():
     repo_src = os.path.join(os.path.dirname(__file__), "..", "src")
     env["PYTHONPATH"] = os.path.abspath(repo_src)
     process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--batch-window-ms", "300"],
+        [sys.executable, "-m", "repro", "serve", "--port", "0"],
         env=env, stderr=subprocess.PIPE, text=True,
     )
     try:
@@ -832,19 +899,23 @@ def test_sigterm_drains_in_flight_work_before_exit():
 
         def request():
             with ServeClient(port=port) as client:
-                outcome["result"] = client.characterize(REQ)
+                outcome["result"] = client.characterize(SLOW_REQ)
 
         worker = threading.Thread(target=request)
         worker.start()
-        # The 300 ms batch window guarantees the request is still queued
-        # when the signal arrives; drain must complete it regardless.
-        time.sleep(0.1)
+        # The slow request is admitted and still on its lane when the
+        # signal arrives; drain must complete it regardless.
+        with ServeClient(port=port) as client:
+            _wait_until(
+                lambda: client.healthz()["queue_depth"] == 1, "the request is admitted"
+            )
         process.send_signal(signal.SIGTERM)
         worker.join(timeout=60)
         assert not worker.is_alive(), "request never completed"
-        assert len(outcome["result"]["records"]) == REQ["subarrays"]
+        assert len(outcome["result"]["records"]) == SLOW_REQ["subarrays"]
         assert process.wait(timeout=30) == 0
         remainder = process.stderr.read()
+        assert "draining (1 request(s) in flight)" in remainder
         assert "drained cleanly" in remainder
     finally:
         if process.poll() is None:
@@ -853,7 +924,8 @@ def test_sigterm_drains_in_flight_work_before_exit():
 
 
 def test_server_thread_drain_completes_queued_work():
-    thread = ServerThread(ServeConfig(port=0, batch_window_ms=200.0))
+    thread = ServerThread(ServeConfig(port=0))
+    release = _hold_lane(thread.scheduler)
     outcome = {}
 
     def request():
@@ -862,10 +934,19 @@ def test_server_thread_drain_completes_queued_work():
 
     worker = threading.Thread(target=request)
     worker.start()
-    time.sleep(0.05)  # inside the batch window
-    thread.shutdown()
+    _wait_until(lambda: thread.scheduler.queue_depth == 1, "the request is admitted")
+    stopper = threading.Thread(target=thread.shutdown)
+    stopper.start()
+    # The drain has begun while the held request is still on its lane.
+    _wait_until(lambda: thread.scheduler.draining, "the drain begins")
+    assert "result" not in outcome
+    release.set()
+    stopper.join(timeout=60)
     worker.join(timeout=30)
-    assert outcome["result"]["records"]
+    assert not stopper.is_alive() and not worker.is_alive()
+    assert outcome["result"]["records"] == _direct_records(
+        CharacterizeRequest.from_json(REQ)
+    )
     assert thread.scheduler.stats["jobs"] == 1
 
 
@@ -878,13 +959,11 @@ def test_scheduler_cache_spans_batches(tmp_path):
 
     async def scenario():
         cache = OutcomeCache(tmp_path)
-        scheduler = RequestScheduler(cache=cache, batch_window_s=0.01)
+        scheduler = RequestScheduler(cache=cache)
         first = await scheduler.submit(CharacterizeRequest.from_json(REQ))
         # A fresh scheduler on the same directory: disk hits, same bytes.
         await scheduler.drain()
-        second_scheduler = RequestScheduler(
-            cache=OutcomeCache(tmp_path), batch_window_s=0.01
-        )
+        second_scheduler = RequestScheduler(cache=OutcomeCache(tmp_path))
         second = await second_scheduler.submit(
             CharacterizeRequest.from_json(REQ)
         )

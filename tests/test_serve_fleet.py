@@ -29,6 +29,8 @@ from repro.serve import HashRing, ServeClient
 
 REQ = {"serial": "S0", "subarrays": 2, "rows": 64, "columns": 128,
        "intervals": [0.512, 16.0]}
+#: A cold request that keeps a worker's lane busy for most of a second.
+SLOW_REQ = {**REQ, "subarrays": 4, "rows": 1024, "columns": 2048}
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +84,7 @@ def test_ring_rejects_empty_membership():
 # Fleet subprocess harness
 # ---------------------------------------------------------------------------
 
-def _spawn_fleet(fleet: int = 2, batch_window_ms: float = 25.0,
-                 extra_args: list[str] | None = None,
+def _spawn_fleet(fleet: int = 2, extra_args: list[str] | None = None,
                  stderr_lines: list[str] | None = None):
     env = dict(os.environ)
     repo_src = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -91,7 +92,6 @@ def _spawn_fleet(fleet: int = 2, batch_window_ms: float = 25.0,
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",
          "--fleet", str(fleet), "--port", "0",
-         "--batch-window-ms", str(batch_window_ms),
          *(extra_args or [])],
         env=env, stderr=subprocess.PIPE, text=True,
     )
@@ -184,13 +184,15 @@ def test_fleet_metrics_are_federated_per_worker(fleet):
 
 def test_fleet_duplicates_coalesce_on_one_worker(fleet):
     """Hash-sharding's purpose: concurrent duplicates all land on the
-    same worker and coalesce there into one engine job."""
+    same worker and coalesce there into one engine job.  The request is
+    slow, so its job is still in flight when the last duplicate arrives
+    (one arriving after it would be answered from memory instead)."""
     _, port = fleet
     with ServeClient(port=port) as client:
         before = client.fleet_stats()["totals"]
     barrier = threading.Barrier(6)
     results = [None] * 6
-    request = {**REQ, "serial": "M8"}
+    request = {**SLOW_REQ, "serial": "M8"}
 
     def hit(i):
         with ServeClient(port=port) as client:
@@ -347,23 +349,31 @@ def test_one_request_is_one_trace_across_the_fleet(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_fleet_sigterm_drains_in_flight_work_before_exit():
-    """A request inside the batch window when SIGTERM lands still gets
-    its 200 through the proxy, every worker exits, front door exits 0."""
-    process, port = _spawn_fleet(batch_window_ms=300.0)
+    """A request on a worker's lane when SIGTERM lands still gets its 200
+    through the proxy, every worker exits, front door exits 0."""
+    process, port = _spawn_fleet()
     try:
         outcome = {}
 
         def request():
             with ServeClient(port=port) as client:
-                outcome["result"] = client.characterize(REQ)
+                outcome["result"] = client.characterize(SLOW_REQ)
+
+        def queued() -> int:
+            with ServeClient(port=port) as client:
+                workers = client.fleet_stats()["workers"]
+            return sum(worker.get("queue_depth") or 0 for worker in workers)
 
         worker = threading.Thread(target=request)
         worker.start()
-        time.sleep(0.1)  # inside the 300 ms batch window
+        deadline = time.monotonic() + 60
+        while queued() == 0:  # the slow request is on a worker's lane
+            assert time.monotonic() < deadline, "request never admitted"
+            time.sleep(0.005)
         process.send_signal(signal.SIGTERM)
         worker.join(timeout=120)
         assert not worker.is_alive(), "request never completed"
-        assert len(outcome["result"]["records"]) == REQ["subarrays"]
+        assert len(outcome["result"]["records"]) == SLOW_REQ["subarrays"]
         assert process.wait(timeout=120) == 0
     finally:
         if process.poll() is None:

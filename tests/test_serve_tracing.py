@@ -27,7 +27,7 @@ def _clean_obs():
 
 @pytest.fixture
 def server():
-    thread = ServerThread(ServeConfig(port=0, batch_window_ms=10.0))
+    thread = ServerThread(ServeConfig(port=0))
     yield thread
     thread.shutdown()
 
@@ -115,7 +115,6 @@ def test_slow_capture_writes_the_span_tree(tmp_path):
     thread = ServerThread(
         ServeConfig(
             port=0,
-            batch_window_ms=10.0,
             trace_dir=str(tmp_path),
             slow_trace_ms=0.0,  # capture everything
         )

@@ -397,7 +397,7 @@ def test_scheduler_batches_after_a_hotter_one_answer_from_tails(counters):
         )
 
     async def scenario():
-        scheduler = RequestScheduler(batch_window_s=0.01)
+        scheduler = RequestScheduler()
         await scheduler.submit(request(85.0))
         drawn = counters("cells_populations_sampled_total")
         cooler = await asyncio.gather(
