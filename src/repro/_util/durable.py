@@ -6,11 +6,15 @@ by a little-endian CRC-32 of it, which detects torn writes and bit rot
 (not forgery, which no digest without a secret key could).  `atomic_write`
 replaces a file with a record, so a crash leaves the old record or the new
 one and, at worst, an orphaned temp file that `sweep_tmp` removes later;
-`read_record` returns an intact record's payload; `quarantine` moves a
-record that fails to ``.bad``.  `RecordStore` keeps the newest records of
-one resumable run and also fsyncs its directory, so a saved record
-survives power loss.  The cache skips that fsync: an entry lost to power
-loss is only a miss that recomputes.
+`atomic_write_linked` gives several names one record, written and fsync'd
+once, through hard links; `read_record` returns an intact record's
+payload; `quarantine` moves a record that fails to ``.bad``.  An
+`OSError` that interrupts a write (ENOSPC, EIO) removes its temp names
+before it propagates; only a crash leaves them for the sweep.
+`RecordStore` keeps the newest records of one resumable run and also
+fsyncs its directory, so a saved record survives power loss.  The cache
+skips that fsync: an entry lost to power loss is only a miss that
+recomputes.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import re
 import struct
 import time
 import zlib
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 #: Temp files older than this are presumed orphaned by a dead process and
@@ -34,7 +38,7 @@ _CRC = struct.Struct("<I")
 #: Disambiguates temp files written by threads sharing one pid.
 _TMP_SEQUENCE = itertools.count()
 
-#: The names `atomic_write` gives its temp files.
+#: The names `_tmp_path` gives temp files and temp links.
 _TMP_NAME = re.compile(r".+\.tmp\d+-\d+")
 
 
@@ -44,8 +48,66 @@ def atomic_write(path: str | Path, chunks: Iterable) -> None:
     unique ``<name>.tmp<pid>-<seq>`` name before the atomic ``os.replace``.
     """
     path = Path(path)
-    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}-{next(_TMP_SEQUENCE)}")
-    with open(tmp, "wb") as handle:
+    tmp = _tmp_path(path)
+    try:
+        _write_record(tmp, chunks)
+        os.replace(tmp, path)
+    except OSError:
+        _discard(tmp)
+        raise
+
+
+def atomic_write_linked(paths: Sequence[str | Path], chunks: Iterable) -> int | None:
+    """Give every path in ``paths`` (one or more, in one directory) one
+    record of ``chunks``, written and fsync'd once under a temp name, then
+    hard-linked under each path: `os.link` where the path is new, a temp
+    link and an atomic `os.replace` where it exists.  The temp name is
+    unlinked last.  At every step each path holds its old record or the
+    new one.
+
+    Returns how many of ``paths`` it created, or ``None`` if the filesystem
+    refused a hard link (EPERM on vfat, ENOTSUP on some FUSE or SMB
+    mounts): the paths linked before the refusal then hold the new record,
+    the rest are untouched, and the caller writes them another way.
+    """
+    paths = [Path(path) for path in paths]
+    tmp = _tmp_path(paths[0])
+    created = 0
+    try:
+        _write_record(tmp, chunks)
+        for path in paths:
+            link = None
+            try:
+                try:
+                    os.link(tmp, path)
+                    created += 1
+                except FileExistsError:
+                    link = _tmp_path(path)
+                    os.link(tmp, link)
+            except OSError:
+                _discard(tmp)
+                return None
+            if link is not None:
+                try:
+                    os.replace(link, path)
+                except OSError:
+                    _discard(link)
+                    raise
+        os.unlink(tmp)
+    except OSError:
+        _discard(tmp)
+        raise
+    return created
+
+
+def _tmp_path(path: Path) -> Path:
+    """A temp name beside ``path`` that no other writer uses."""
+    return path.with_name(f"{path.name}.tmp{os.getpid()}-{next(_TMP_SEQUENCE)}")
+
+
+def _write_record(path: Path, chunks: Iterable) -> None:
+    """Write ``chunks`` and their CRC to the new file ``path`` and fsync it."""
+    with open(path, "wb") as handle:
         crc = 0
         for chunk in chunks:
             handle.write(chunk)
@@ -53,7 +115,14 @@ def atomic_write(path: str | Path, chunks: Iterable) -> None:
         handle.write(_CRC.pack(crc))
         handle.flush()
         os.fsync(handle.fileno())
-    os.replace(tmp, path)
+
+
+def _discard(path: Path) -> None:
+    """Remove a temp name after a failed write; gone already is fine."""
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
 
 
 def read_record(path: str | Path) -> memoryview:
@@ -88,7 +157,7 @@ def quarantine(path: str | Path) -> bool:
 
 
 def sweep_tmp(directory: str | Path) -> int:
-    """Remove temp files that `atomic_write` left and that are older than
+    """Remove temp names that a write left and that are older than
     `TMP_SWEEP_AGE_S` from ``directory``; returns how many it removed.
     Files of any other name are left alone."""
     now = time.time()

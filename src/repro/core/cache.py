@@ -33,6 +33,15 @@ sweeps temp files orphaned by a killed process, and an entry that is not
 exactly one intact record is quarantined (renamed to ``<key>.bad``) on
 first read instead of silently re-missing every run.
 
+`put_many` writes the entries of several keys (a fleet group) as one
+group record: its own magic, then per member the key, the entry's length
+and the entry's bytes.  The record is written and fsync'd once and
+hard-linked under every member's ``<key>.outcome``; where the filesystem
+has no hard links, each member is written as its own entry instead.  A
+load that meets a group record checks its one CRC and also holds the
+other members in the memory tier, so the rest of the group is answered
+without another disk read.
+
 Keys are content hashes over every input that determines the outcome,
 including a fingerprint of the die profile's calibrated parameters — a
 recalibrated catalog silently invalidates stale entries.
@@ -45,6 +54,7 @@ import hashlib
 import struct
 import threading
 from collections import OrderedDict
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +129,10 @@ _ENTRY_SUFFIX = ".outcome"
 #: length of each `_ARRAY_FIELDS` array, all little-endian.
 _HEADER = struct.Struct(f"<8sqqdd{len(_ARRAY_FIELDS)}q")
 _MAGIC = b"OUTCOME" + bytes([CACHE_FORMAT_VERSION])
+#: Group record: this magic, then per member a `_MEMBER` header (the byte
+#: lengths of its UTF-8 key and of its entry), the key and the entry.
+_GROUP_MAGIC = b"OUTGROUP"
+_MEMBER = struct.Struct("<qq")
 _F8 = np.dtype("<f8")
 
 
@@ -203,6 +217,9 @@ class OutcomeCache:
         # summaries and tails), its byte total and the tier counters change
         # only under this lock.
         self._memory_lock = threading.Lock()
+        # Inside `put_many`, the calling thread's `put`s collect their disk
+        # writes here (``pairs``) for one group record.
+        self._group = threading.local()
         self.memory_bytes = 0
         self.max_memory_entries = max_memory_entries
         self.directory = Path(directory) if directory is not None else None
@@ -234,6 +251,9 @@ class OutcomeCache:
         answer ``min_horizon`` is a miss — it is *not* promoted between
         tiers, and the caller's subsequent `put` replaces it.
 
+        A disk read that meets a group record (`put_many`) also holds the
+        record's other members in the memory tier, moving no counter.
+
         Safe against concurrent `put` calls: the memory-tier read, its
         recency refresh and the counters move together under the memory
         lock, and the disk read runs outside it.
@@ -250,7 +270,10 @@ class OutcomeCache:
             self._update_gauges()
             return summary, "memory"
         if self.directory is not None:
-            loaded = self._load(key)
+            members = self._load(key)
+            loaded = members.pop(key, None)
+            for other, summary in members.items():
+                self._remember(other, summary)
             if loaded is not None and loaded.horizon >= min_horizon:
                 self._remember(key, loaded)
                 with self._memory_lock:
@@ -292,20 +315,45 @@ class OutcomeCache:
         puts of one key write the disk outside the memory lock, so the
         shorter summary can land last: after each write, while memory
         holds a longer summary of the key than the one written, that one
-        is written too.
+        is written too.  Inside `put_many`, the disk write is left to it.
         """
         if not self._remember(key, summary):
             return
         _PUTS.inc()
         if self.directory is not None:
-            while True:
-                self._save(key, summary)
-                with self._memory_lock:
-                    held = self._memory.get(key)
-                if held is None or held.horizon <= summary.horizon:
-                    break
-                summary = held
+            group = getattr(self._group, "pairs", None)
+            if group is not None:
+                group[key] = summary
+            else:
+                self._write(key, summary)
         self._update_gauges()
+
+    def put_many(self, pairs: Iterable[tuple[str, OutcomeSummary]]) -> None:
+        """`put` each ``(key, summary)`` pair, with one disk write for all.
+
+        Every pair goes through `put`, so the memory tier, the counters
+        and the grow-only rule treat it as a single put, but the disk
+        writes wait for the last pair.  One kept pair is then written as
+        `put` writes it; two or more become one group record, written and
+        fsync'd once and hard-linked under each key's ``<key>.outcome``.
+        As in `put`, a key whose memory tier then holds a longer summary
+        than the one written is written again.
+        """
+        self._group.pairs = kept = {}
+        try:
+            for key, summary in pairs:
+                self.put(key, summary)
+        finally:
+            self._group.pairs = None
+        if len(kept) == 1:
+            (key, summary), = kept.items()
+            self._write(key, summary)
+        elif kept:
+            self._save_group(kept)
+            for key, summary in kept.items():
+                longer = self._longer_held(key, summary)
+                if longer is not None:
+                    self._write(key, longer)
 
     def tail(self, key: str) -> WeakTail | None:
         """The weak tail held for the population ``key``
@@ -407,35 +455,101 @@ class OutcomeCache:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}{_ENTRY_SUFFIX}"
 
+    def _write(self, key: str, summary: OutcomeSummary) -> None:
+        """Write ``key``'s entry; then, while the memory tier holds a longer
+        summary of ``key`` than the one written, write that one too."""
+        while summary is not None:
+            self._save(key, summary)
+            summary = self._longer_held(key, summary)
+
+    def _longer_held(self, key: str, summary: OutcomeSummary) -> OutcomeSummary | None:
+        """The memory tier's summary of ``key`` if its horizon is longer
+        than ``summary``'s, else ``None``."""
+        with self._memory_lock:
+            held = self._memory.get(key)
+        return held if held is not None and held.horizon > summary.horizon else None
+
     def _save(self, key: str, summary: OutcomeSummary) -> None:
-        arrays = [
-            np.ascontiguousarray(getattr(summary, name), dtype=_F8)
-            for name in _ARRAY_FIELDS
-        ]
-        header = _HEADER.pack(
-            _MAGIC, summary.rows, summary.cells, summary.horizon,
-            summary.time_to_first, *(array.size for array in arrays),
-        )
         path = self._path(key)
         existed = path.exists()
-        durable.atomic_write(path, [header, *arrays])
+        durable.atomic_write(path, _entry(summary))
         if not existed:
             with self._memory_lock:
                 self.disk_entries += 1
 
-    def _load(self, key: str) -> OutcomeSummary | None:
+    def _save_group(self, pairs: dict[str, OutcomeSummary]) -> None:
+        """Write ``pairs`` as one group record linked under every key's
+        path, or as one entry per key where hard links are refused."""
+        chunks = [_GROUP_MAGIC]
+        for key, summary in pairs.items():
+            name = key.encode()
+            header, *arrays = _entry(summary)
+            size = len(header) + sum(array.nbytes for array in arrays)
+            chunks += [_MEMBER.pack(len(name), size), name, header, *arrays]
+        created = durable.atomic_write_linked(
+            [self._path(key) for key in pairs], chunks
+        )
+        if created is None:
+            for key, summary in pairs.items():
+                self._save(key, summary)
+        elif created:
+            with self._memory_lock:
+                self.disk_entries += created
+
+    def _load(self, key: str) -> dict[str, OutcomeSummary]:
+        """The summaries the record at ``key``'s path holds, by key:
+        ``key``'s, and a group record's other members; empty if there is
+        no record, or if it is corrupt (it is then quarantined)."""
         path = self._path(key)
         try:
-            return _decode(durable.read_record(path))
+            return _decode_record(durable.read_record(path), key)
         except FileNotFoundError:
-            return None
+            return {}
         except (OSError, ValueError):
             if durable.quarantine(path):
                 with self._memory_lock:
                     self.quarantined += 1
                     self.disk_entries = max(0, self.disk_entries - 1)
                 _QUARANTINED.inc()
-            return None
+            return {}
+
+
+def _entry(summary: OutcomeSummary) -> list:
+    """One disk entry's chunks: its header, then its six arrays as ``<f8``."""
+    arrays = [
+        np.ascontiguousarray(getattr(summary, name), dtype=_F8)
+        for name in _ARRAY_FIELDS
+    ]
+    header = _HEADER.pack(
+        _MAGIC, summary.rows, summary.cells, summary.horizon,
+        summary.time_to_first, *(array.size for array in arrays),
+    )
+    return [header, *arrays]
+
+
+def _decode_record(payload: memoryview, key: str) -> dict[str, OutcomeSummary]:
+    """The summaries one disk record holds, by key: an entry is ``key``'s,
+    and a group record names its members, which must include ``key``.
+
+    Raises ``ValueError`` if the payload is neither.
+    """
+    if payload[: len(_GROUP_MAGIC)] != _GROUP_MAGIC:
+        return {key: _decode(payload)}
+    members = {}
+    offset = len(_GROUP_MAGIC)
+    while offset < len(payload):
+        if offset + _MEMBER.size > len(payload):
+            raise ValueError("group member header past the record end")
+        name_size, entry_size = _MEMBER.unpack_from(payload, offset)
+        start = offset + _MEMBER.size + name_size
+        offset = start + entry_size
+        if min(name_size, entry_size) < 0 or offset > len(payload):
+            raise ValueError("group member past the record end")
+        name = bytes(payload[start - name_size : start]).decode()
+        members[name] = _decode(payload[start:offset])
+    if key not in members:
+        raise ValueError("group record does not hold its key")
+    return members
 
 
 def _decode(payload: memoryview) -> OutcomeSummary:

@@ -16,8 +16,10 @@ and a chunk splits into at least ``min(workers, misses)`` groups.  One
 group is drawn into one stacked pair of arrays and evaluated in one pass
 (`characterize_instances`), so a pool thread spends its time in a few
 large NumPy calls, most of which release the GIL, instead of handing the
-GIL back and forth over many short ones.  Cache keys and entries,
-checkpoints and the aggregation order stay per instance.
+GIL back and forth over many short ones.  Cache keys, checkpoints and the
+aggregation order stay per instance; a group's cache entries go to disk
+as one record, hard-linked under each instance's key, so a group pays
+one fsync and a later pass reads it once.
 
 Interrupt semantics (the CLI contract): a `KeyboardInterrupt` during
 the campaign cancels outstanding work without waiting for the thread
@@ -231,11 +233,10 @@ class FleetCampaign:
         self, instances: list[ModuleInstance], keys: list[str | None]
     ) -> list[OutcomeSummary]:
         """Compute a group of missed instances and store each under its
-        key."""
+        key, the group's disk entries as one record (`OutcomeCache.put_many`)."""
         summaries = characterize_instances(instances, self.spec.horizon)
-        for key, summary in zip(keys, summaries):
-            if key is not None:
-                self.cache.put(key, summary)
+        if self.cache is not None:
+            self.cache.put_many(zip(keys, summaries))
         return summaries
 
     def _rates(self, summary: OutcomeSummary) -> list[float]:

@@ -5,10 +5,15 @@ written through `repro._util.durable`.  The fault matrix crashes each of
 them at each step of that path, by making one of the module's ``os``
 calls (or, mid-chunk, its file's ``write``) raise a `BaseException`, then
 opens a fresh handle on the same directory: it must read the old state or
-the new one, never a torn record and never a temp file.
+the new one, never a torn record and never a temp file.  A second matrix
+crashes each step of a cache group write (`OutcomeCache.put_many`: one
+record, hard-linked under every key), where each key must read its old or
+its new summary.
 """
 
+import errno
 import io
+import itertools
 import os
 import stat
 
@@ -43,6 +48,19 @@ def _crash_on_directory_fsync(fd):
     if stat.S_ISDIR(os.fstat(fd).st_mode):
         raise Crash
     _FSYNC(fd)
+
+
+def _crash_on_call(name, count):
+    """``os.<name>`` that crashes on its ``count``-th call."""
+    real = getattr(os, name)
+    calls = itertools.count(1)
+
+    def call(*args):
+        if next(calls) == count:
+            raise Crash
+        return real(*args)
+
+    return call
 
 
 #: Each step of the durable path: the call that crashes there, and how.  A
@@ -137,6 +155,102 @@ def test_crash_at_any_step_leaves_the_old_or_the_new_state(
     assert not list(tmp_path.glob("*.bad"))
     # A crash before the replace leaves a temp file that no read trusted.
     assert bool(list(tmp_path.glob("*.tmp*"))) == (step in BEFORE_REPLACE)
+
+
+#: Each step of a group write, the fault that crashes there, and the keys
+#: that then read their new summary.  The group writes "k2" (new), then
+#: "k0" and "k1" (existing): the second `os.link` is "k0"'s, the second
+#: `os.replace` is "k1"'s.
+GROUP_STEPS = {
+    "mid-chunk write": (durable, "open", lambda: _TornFile, ()),
+    "before the file fsync": (durable.os, "fsync", lambda: _crash, ()),
+    "before an os.link": (durable.os, "link", lambda: _crash_on_call("link", 2), ("k2",)),
+    "before the os.replace of an existing key": (
+        durable.os, "replace", lambda: _crash_on_call("replace", 2), ("k2", "k0"),
+    ),
+    "before the temp unlink": (durable.os, "unlink", lambda: _crash, ("k2", "k0", "k1")),
+}
+
+
+@pytest.mark.parametrize("step", list(GROUP_STEPS))
+def test_crash_at_any_step_of_a_group_write_leaves_each_key_old_or_new(
+    tmp_path, monkeypatch, step
+):
+    entry = _CacheEntry()
+    summaries = entry.summaries
+    for version in ("older", "old"):
+        OutcomeCache(tmp_path).put_many(
+            [("k0", summaries[version]), ("k1", summaries[version])]
+        )
+    target, name, fault, new = GROUP_STEPS[step]
+    with monkeypatch.context() as patch:
+        patch.setattr(target, name, fault(), raising=False)
+        with pytest.raises(Crash):
+            OutcomeCache(tmp_path).put_many(
+                [(key, summaries["new"]) for key in ("k2", "k0", "k1")]
+            )
+
+    for key in ("k0", "k1", "k2"):
+        # A handle per key: a group read would answer the other keys too.
+        fresh = OutcomeCache(tmp_path)
+        summary = fresh.get(key)
+        if key in new:
+            assert summary is not None and entry._fingerprint(summary) == entry.state("new")
+        elif key == "k2":
+            assert summary is None
+        else:
+            assert entry._fingerprint(summary) == entry.state("old")
+        assert fresh.quarantined == 0
+    assert not list(tmp_path.glob("*.bad"))
+    # The crash left its temp name, which no read trusted.
+    assert list(tmp_path.glob("*.tmp*"))
+
+
+@pytest.mark.parametrize("linked", [False, True], ids=["atomic_write", "linked"])
+@pytest.mark.parametrize("call", ["fsync", "replace"])
+def test_an_os_error_removes_the_temp_names_and_propagates(
+    tmp_path, monkeypatch, linked, call
+):
+    """ENOSPC mid-write leaves no temp name behind (a fresh handle's sweep
+    would keep it for ten minutes); the old record stays."""
+    paths = [tmp_path / "a", tmp_path / "b"]
+    for path in paths:
+        durable.atomic_write(path, [b"old"])
+
+    def full(*args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(durable.os, call, full)
+    with pytest.raises(OSError) as raised:
+        if linked:
+            durable.atomic_write_linked(paths, [b"new"])
+        else:
+            durable.atomic_write(paths[0], [b"new"])
+    assert raised.value.errno == errno.ENOSPC
+    monkeypatch.undo()
+    assert sorted(tmp_path.iterdir()) == paths
+    assert [bytes(durable.read_record(path)) for path in paths] == [b"old", b"old"]
+
+
+def test_linked_write_links_one_record_under_every_path(tmp_path):
+    existing, new = tmp_path / "existing", tmp_path / "new"
+    durable.atomic_write(existing, [b"old"])
+    assert durable.atomic_write_linked([new, existing], [b"gr", b"oup"]) == 1
+    assert sorted(tmp_path.iterdir()) == [existing, new]
+    assert os.path.samefile(existing, new)
+    assert new.stat().st_nlink == 2
+    assert bytes(durable.read_record(existing)) == b"group"
+
+
+def test_linked_write_refused_links_leave_the_paths_to_the_caller(
+    tmp_path, monkeypatch
+):
+    def refused(*args):
+        raise PermissionError(errno.EPERM, "Operation not permitted")
+
+    monkeypatch.setattr(durable.os, "link", refused)
+    assert durable.atomic_write_linked([tmp_path / "a", tmp_path / "b"], [b"x"]) is None
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("store_class", [CheckpointStore, SnapshotStore])

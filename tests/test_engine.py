@@ -351,6 +351,54 @@ def test_cache_short_disk_write_landing_last_is_rewritten(tmp_path):
     assert OutcomeCache(tmp_path).get("key").horizon == 5.0
 
 
+def test_cache_short_group_write_landing_last_is_rewritten(tmp_path):
+    """The group twin of the test above: a `put_many` whose group record
+    holds the shorter summary of a key lands after a single put of the
+    longer one.  The key is then written again from the memory tier, so a
+    fresh handle reads the longer entry, and the group's other member
+    keeps the group record."""
+    empty = np.empty(0)
+    short, long, other = (
+        OutcomeSummary(1, 1, h, 0.0, np.zeros(int(h)), empty, empty, empty, empty, empty)
+        for h in (1.0, 5.0, 3.0)
+    )
+    cache = OutcomeCache(tmp_path)
+    save, save_group = cache._save, cache._save_group
+    barrier = threading.Barrier(2, timeout=10)
+    long_written = threading.Event()
+
+    def held_save_group(pairs):
+        barrier.wait()  # the longer put has replaced "key" in memory
+        assert long_written.wait(10)
+        save_group(pairs)
+
+    def held_save(key, summary):
+        if summary is long and not long_written.is_set():
+            barrier.wait()
+        save(key, summary)
+        if summary is long:
+            long_written.set()
+
+    cache._save, cache._save_group = held_save, held_save_group
+    first = threading.Thread(
+        target=cache.put_many, args=([("key", short), ("other", other)],)
+    )
+    first.start()
+    while barrier.n_waiting < 1 and first.is_alive():
+        time.sleep(0.001)
+    second = threading.Thread(target=cache.put, args=("key", long))
+    second.start()
+    first.join(timeout=30)
+    second.join(timeout=30)
+    assert not first.is_alive() and not second.is_alive()
+    assert cache.get("key").horizon == 5.0
+    fresh = OutcomeCache(tmp_path)
+    assert fresh.get("key").horizon == 5.0
+    assert fresh.get("other").horizon == 3.0
+    assert cache._path("key").stat().st_nlink == 1
+    assert cache._path("other").stat().st_nlink == 1
+
+
 # ---------------------------------------------------------------------------
 # Engine
 # ---------------------------------------------------------------------------
